@@ -15,7 +15,11 @@ import sys
 
 import numpy as np
 
-from expstat import conv_pdf, conv_pdf_phase_type, conv_quantile, sum_pdf_quadrature
+from expstat import conv_pdf, conv_pdf_phase_type, conv_quantile, sum_pdf_quadrature, sum_route
+
+
+def spread(a, b):
+    return np.abs(a - b) / np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-300)
 
 
 def main(argv=None) -> int:
@@ -27,27 +31,16 @@ def main(argv=None) -> int:
     rates = tuple(float(part) for part in args.rates.split(","))
     probs = np.linspace(0.05, 0.95, args.points)
     z = np.array([conv_quantile(rates, float(p)) for p in probs])
-    closed = np.array([conv_pdf(rates, float(x)) for x in z])
-    phase = np.array([conv_pdf_phase_type(rates, float(x)) for x in z])
+    closed = conv_pdf(rates, z)
+    phase = conv_pdf_phase_type(rates, z)
     quad = sum_pdf_quadrature(rates, z)
+    worst = np.maximum.reduce([spread(closed, phase), spread(closed, quad), spread(phase, quad)])
 
-    def spread(a, b):
-        return np.abs(a - b) / np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-300)
-
+    print(f"conv_pdf route: {sum_route(rates)[0]}")
     print(f"{'z':>12} {'closed':>18} {'phase':>18} {'quadrature':>18} {'max rel spread':>15}")
-    worst = 0.0
-    for i in range(z.size):
-        s = max(
-            spread(closed[i : i + 1], phase[i : i + 1])[0],
-            spread(closed[i : i + 1], quad[i : i + 1])[0],
-            spread(phase[i : i + 1], quad[i : i + 1])[0],
-        )
-        worst = max(worst, float(s))
-        print(
-            f"{z[i]:12.6f} {closed[i]:18.12e} {phase[i]:18.12e} "
-            f"{quad[i]:18.12e} {s:15.3e}"
-        )
-    print(f"worst pairwise relative spread: {worst:.3e}")
+    for row in zip(z, closed, phase, quad, worst):
+        print("{:12.6f} {:18.12e} {:18.12e} {:18.12e} {:15.3e}".format(*row))
+    print(f"worst pairwise relative spread: {float(np.max(worst)):.3e}")
     return 0
 
 

@@ -27,22 +27,20 @@ from typing import Optional
 import numpy as np
 
 from .convolution import (
-    SWITCH_THRESHOLD,
     char_fn_linear_combination,
     char_fn_product,
     conv_cdf,
     conv_coefficients,
-    conv_mixture,
     conv_pdf,
     conv_pdf_phase_type,
     conv_quantile,
     partial_fraction_identity_check,
+    sum_route,
 )
 from .core import (
     RatesLike,
     RateVector,
     as_rate_vector,
-    mixture_cdf_grid,
     mixture_eval_grid,
     mixture_integral,
 )
@@ -110,13 +108,7 @@ def _fmt(value: float) -> str:
 def _curve_values(req: CurveRequest, zz: np.ndarray) -> np.ndarray:
     rv = req.rates
     if req.statistic == "sum":
-        if rv.min_cross_cluster_gap < SWITCH_THRESHOLD:
-            fn = conv_pdf if req.quantity == "pdf" else conv_cdf
-            return np.array([fn(rv, float(z)) for z in zz])
-        mixture = conv_mixture(rv)
-        if req.quantity == "pdf":
-            return np.maximum(mixture_eval_grid(mixture, zz), 0.0)
-        return mixture_cdf_grid(mixture, zz)
+        return (conv_pdf if req.quantity == "pdf" else conv_cdf)(rv, zz)
     if req.statistic == "min":
         law = min_law(rv)
         if req.quantity == "pdf":
@@ -125,8 +117,7 @@ def _curve_values(req: CurveRequest, zz: np.ndarray) -> np.ndarray:
     if req.statistic == "max":
         if req.quantity == "pdf":
             return np.maximum(mixture_eval_grid(max_mixture(rv), zz), 0.0)
-        lam = np.asarray(rv.rates)
-        return np.prod(-np.expm1(-lam[None, :] * zz[:, None]), axis=1)
+        return max_cdf(rv, zz)
     req_order = OrderStatisticRequest(rv, int(req.r))
     if req.quantity == "pdf":
         return np.array([order_statistic_pdf(req_order, float(z)) for z in zz])
@@ -210,12 +201,13 @@ def _check_transform(rv: RateVector, seed: int, results: list) -> None:
 
 
 def _check_normalization(rv: RateVector, results: list) -> None:
-    if rv.min_cross_cluster_gap < SWITCH_THRESHOLD:
+    route, form = sum_route(rv)
+    if route == "phase-type":
         far = conv_quantile(rv, 0.5) * 40.0
         err = abs(conv_cdf(rv, far) - 1.0)
         results.append(("normalization", err <= 1e-9, f"|cdf(far) - 1| = {err:.3e} (phase path)"))
         return
-    err = abs(mixture_integral(conv_mixture(rv)) - 1.0)
+    err = abs(mixture_integral(form) - 1.0)
     if rv.n <= 12:
         err = max(err, abs(mixture_integral(max_mixture(rv)) - 1.0))
     results.append(("normalization", err <= 1e-10, f"max |integral - 1| = {err:.3e}"))
@@ -223,8 +215,8 @@ def _check_normalization(rv: RateVector, results: list) -> None:
 
 def _check_oracle_triangle(rv: RateVector, results: list) -> None:
     z = np.array([conv_quantile(rv, p) for p in np.linspace(0.05, 0.95, 20)])
-    closed = np.array([conv_pdf(rv, float(t)) for t in z])
-    phase = np.array([conv_pdf_phase_type(rv, float(t)) for t in z])
+    closed = conv_pdf(rv, z)
+    phase = conv_pdf_phase_type(rv, z)
     quad = sum_pdf_quadrature(rv, z)
     worst = 0.0
     for a, b in ((closed, phase), (closed, quad), (phase, quad)):
@@ -239,9 +231,8 @@ def _check_ks(rv: RateVector, seed: int, results: list) -> None:
     results.append(
         ("min_ks", report.passed, f"D = {report.ks_statistic:.5f}, critical {report.critical_value:.5f}")
     )
-    lam = np.asarray(rv.rates)
     batch = sample_max(rv, 100_000, seed, stream_id=2)
-    report = ks_test(batch, lambda x: np.prod(-np.expm1(-lam[None, :] * x[:, None]), axis=1))
+    report = ks_test(batch, lambda x: max_cdf(rv, x))
     results.append(
         ("max_ks", report.passed, f"D = {report.ks_statistic:.5f}, critical {report.critical_value:.5f}")
     )
@@ -267,12 +258,7 @@ def cmd_check(rates: RatesLike, seed: int, out=None) -> int:
     out = out if out is not None else sys.stdout
     rv = as_rate_vector(rates)
     clusters = [[rv.rates[i] for i in group] for group in rv.clusters]
-    if rv.min_cross_cluster_gap < SWITCH_THRESHOLD:
-        path = "phase-type"
-    elif rv.is_distinct:
-        path = "closed-form"
-    else:
-        path = "erlang-block"
+    path, _ = sum_route(rv)
     out.write(f"INFO rates={list(rv.rates)} clusters={clusters} evaluation_path={path}\n")
     results: list[tuple[str, Optional[bool], str]] = []
     _check_identities(rv, results)

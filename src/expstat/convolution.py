@@ -6,14 +6,20 @@ For pairwise-distinct rates the density has the closed form
     A_n  = prod_{j != n} lambda_j / (lambda_j - lambda_n),
 
 a signed combination whose coefficients blow up as rates approach each
-other.  Three evaluation paths keep this stable everywhere:
+other.  Every sum-law operation takes one of three routes, chosen by
+``sum_route``:
 
-* distinct, well-separated rates: the closed form above;
-* rates equal within the cluster tolerance: exact Erlang blocks from a
-  confluent partial-fraction expansion (degree >= 1 terms);
-* distinct but closer than ``SWITCH_THRESHOLD``: a phase-type evaluation
-  (matrix exponential of the bidiagonal sub-generator), which is accurate
-  independently of the rate gaps.
+* ``closed-form``: distinct rates, the signed combination above;
+* ``erlang-block``: rates equal within the cluster tolerance give exact
+  Erlang blocks from a confluent partial-fraction expansion (degree >= 1
+  terms);
+* ``phase-type``: distinct cluster rates closer than ``SWITCH_THRESHOLD``
+  (relative) are evaluated through the matrix exponential of the bidiagonal
+  sub-generator, which does not depend on the rate gaps.
+
+The rule ignores the number of rates, so the handoff is not continuous:
+at N=6 and gap 1.1e-3, just above the threshold, the closed form is off by
+relative pdf errors near 0.15.
 
 The characteristic-function identities and the partial-fraction residual
 check provide cheap internal consistency tests of the same coefficients.
@@ -27,25 +33,25 @@ from typing import Union
 
 import numpy as np
 from scipy.linalg import expm
-from scipy.optimize import brentq
 
 from .core import (
-    QUANTILE_BRACKET_SIGMAS,
     RatesLike,
-    RateVector,
     SignedExponentialMixture,
+    _check_points,
+    _check_rate,
     _clamp_unit,
+    _solve_quantile,
     as_rate_vector,
     mixture_cdf,
+    mixture_cdf_grid,
     mixture_eval,
     mixture_eval_grid,
     mixture_quantile,
 )
 from .errors import DegenerateRatesError, DomainError, NumericalError
 
-# Minimal cross-cluster relative gap below which the signed closed form has
-# lost roughly ten digits (N ~ 8) and evaluation is delegated to the
-# phase-type path instead.
+# Minimal cross-cluster relative gap below which sum_route delegates
+# evaluation to the phase-type route instead of the signed closed form.
 SWITCH_THRESHOLD = 1e-3
 
 # Above this size the coefficient products are formed in log space with the
@@ -164,10 +170,9 @@ def conv_mixture(rates: RatesLike) -> SignedExponentialMixture:
 
     Distinct rates give the degree-0 closed form; clustered rates contribute
     Erlang-block terms of degree up to multiplicity - 1 (all rates equal
-    recovers the Gamma(N, rate) density exactly).  Note the closed form's
-    coefficients are ill-conditioned for cross-cluster gaps below
-    SWITCH_THRESHOLD; conv_pdf and conv_cdf switch to the phase-type path in
-    that regime rather than evaluating this mixture.
+    recovers the Gamma(N, rate) density exactly).  The coefficients grow
+    without bound as cross-cluster gaps shrink; sum_route decides when the
+    sum-law operations use the phase-type form instead of this mixture.
     """
     rv = as_rate_vector(rates)
     if rv.is_distinct:
@@ -247,84 +252,84 @@ class PhaseTypeForm:
 PhaseLike = Union[PhaseTypeForm, RatesLike]
 
 
-def _as_phase(ph: PhaseLike) -> PhaseTypeForm:
-    if isinstance(ph, PhaseTypeForm):
-        return ph
-    return PhaseTypeForm.from_rates(ph)
+def _phase_eval(phase: PhaseTypeForm, zz: float | np.ndarray, quantity: str) -> float | np.ndarray:
+    """pdf or cdf of a phase-type law at checked points (a float or an array).
+
+    The density is initial . expm(S z) . exit and the cdf one minus
+    initial . expm(S z) . 1.  One matrix exponential per point keeps memory
+    at O(N^2) whatever the number of points.
+    """
+    vec = phase.exit_vector if quantity == "pdf" else np.ones(phase.initial.size)
+    values = []
+    for t in np.ravel(zz):
+        v = float(phase.initial @ expm(phase.sub_generator * t) @ vec)
+        if not math.isfinite(v):
+            raise NumericalError(f"matrix exponential produced {v!r} at z={float(t)!r} (n={phase.initial.size})")
+        values.append(max(v, 0.0) if quantity == "pdf" else _clamp_unit(1.0 - v, "phase-type cdf"))
+    return values[0] if isinstance(zz, float) else np.array(values)
 
 
-def conv_pdf_phase_type(ph: PhaseLike, z: float) -> float:
+def conv_pdf_phase_type(ph: PhaseLike, z: float | np.ndarray) -> float | np.ndarray:
     """Density via initial . expm(sub_generator z) . exit (scaling and squaring).
 
-    Serves as the gap-independent evaluation path; agrees with the closed
-    form to ~1e-12 relative wherever both are well conditioned.
+    ``z`` is a scalar (float result) or an array.  Serves as the
+    gap-independent evaluation path; agrees with the closed form to ~1e-12
+    relative wherever both are well conditioned.
     """
-    phase = _as_phase(ph)
-    if z < 0.0:
-        raise DomainError(f"pdf argument must be non-negative, got {z!r}")
-    value = float(phase.initial @ expm(phase.sub_generator * z) @ phase.exit_vector)
-    if not math.isfinite(value):
-        raise NumericalError(
-            f"matrix exponential produced {value!r} at z={z!r} "
-            f"(n={phase.initial.size}, max rate {np.max(-np.diag(phase.sub_generator))})"
-        )
-    return max(value, 0.0)
-
-
-def _phase_cdf(phase: PhaseTypeForm, z: float) -> float:
-    survival = float(phase.initial @ expm(phase.sub_generator * z) @ np.ones(phase.initial.size))
-    if not math.isfinite(survival):
-        raise NumericalError(f"matrix exponential produced {survival!r} at z={z!r}")
-    return _clamp_unit(1.0 - survival, "phase-type cdf")
+    phase = ph if isinstance(ph, PhaseTypeForm) else PhaseTypeForm.from_rates(ph)
+    return _phase_eval(phase, _check_points(z), "pdf")
 
 
 # ---------------------------------------------------------------------------
 # public sum-law operations
 
 
-def conv_pdf(rates: RatesLike, z: float) -> float:
-    """Density of the sum at z >= 0, choosing the stable evaluation path.
+def sum_route(rates: RatesLike) -> tuple[str, Union[SignedExponentialMixture, PhaseTypeForm]]:
+    """The evaluation route of the sum law and the form it evaluates; the one place it is decided.
 
-    Well-separated clusters use the signed closed form (with exact Erlang
-    blocks for repeated rates); when the smallest cross-cluster relative gap
-    drops below SWITCH_THRESHOLD the phase-type path takes over.
+    ("phase-type", PhaseTypeForm) when the smallest cross-cluster relative gap
+    is below SWITCH_THRESHOLD, else ("closed-form" or "erlang-block", mixture).
     """
     rv = as_rate_vector(rates)
-    if z < 0.0:
-        raise DomainError(f"pdf argument must be non-negative, got {z!r}")
     if rv.min_cross_cluster_gap < SWITCH_THRESHOLD:
-        return conv_pdf_phase_type(rv, z)
-    return max(mixture_eval(conv_mixture(rv), z), 0.0)
+        return "phase-type", PhaseTypeForm.from_rates(rv)
+    return ("closed-form" if rv.is_distinct else "erlang-block"), conv_mixture(rv)
 
 
-def conv_cdf(rates: RatesLike, z: float) -> float:
-    """Distribution function of the sum, same path selection as conv_pdf."""
-    rv = as_rate_vector(rates)
-    if z < 0.0:
-        raise DomainError(f"cdf argument must be non-negative, got {z!r}")
-    if rv.min_cross_cluster_gap < SWITCH_THRESHOLD:
-        return _phase_cdf(PhaseTypeForm.from_rates(rv), z)
-    return mixture_cdf(conv_mixture(rv), z)
+def conv_pdf(rates: RatesLike, z: float | np.ndarray) -> float | np.ndarray:
+    """Density of the sum at z >= 0 (a scalar or an array), on the sum_route route.
+
+    A scalar gives a float from the compensated mixture_eval; an array on a
+    mixture route goes through mixture_eval_grid.
+    """
+    zz = _check_points(z)
+    route, form = sum_route(rates)
+    if route == "phase-type":
+        return _phase_eval(form, zz, "pdf")
+    if isinstance(zz, float):
+        return max(mixture_eval(form, zz), 0.0)
+    return np.maximum(mixture_eval_grid(form, zz), 0.0)
+
+
+def conv_cdf(rates: RatesLike, z: float | np.ndarray) -> float | np.ndarray:
+    """Distribution function of the sum, scalar or array z, same routes as conv_pdf."""
+    zz = _check_points(z)
+    route, form = sum_route(rates)
+    if route == "phase-type":
+        return _phase_eval(form, zz, "cdf")
+    if isinstance(zz, float):
+        return mixture_cdf(form, zz)
+    return mixture_cdf_grid(form, zz)
 
 
 def conv_quantile(rates: RatesLike, p: float) -> float:
     """Inverse cdf of the sum; cdf residual at most 1e-10."""
     rv = as_rate_vector(rates)
-    if not (0.0 < p < 1.0):
-        raise DomainError(f"quantile level must lie strictly in (0,1), got {p!r}")
-    if rv.min_cross_cluster_gap >= SWITCH_THRESHOLD:
-        return mixture_quantile(conv_mixture(rv), p)
-    phase = PhaseTypeForm.from_rates(rv)
+    route, form = sum_route(rv)
+    if route != "phase-type":
+        return mixture_quantile(form, p)
     mean, var = conv_moments(rv)
-    hi = mean + QUANTILE_BRACKET_SIGMAS * math.sqrt(var)
-    for _ in range(200):
-        if _phase_cdf(phase, hi) >= p:
-            break
-        hi *= 1.5
-    else:  # pragma: no cover
-        raise NumericalError(f"failed to bracket quantile level {p}")
-    root = brentq(lambda t: _phase_cdf(phase, t) - p, 0.0, hi, xtol=1e-13, maxiter=200)
-    return float(root)
+    return _solve_quantile(lambda t: _phase_eval(form, t, "cdf"), p, mean, var)
 
 
 def conv_moments(rates: RatesLike) -> tuple[float, float]:
@@ -341,8 +346,7 @@ def ordering_probability(rate_a: float, rate_b: float) -> float:
     The faster variable loses: the probability is rate_a / (rate_a + rate_b).
     """
     for r in (rate_a, rate_b):
-        if not (math.isfinite(r) and r > 0.0):
-            raise DomainError(f"rates must be finite and positive, got {r!r}")
+        _check_rate(r, "rates")
     return rate_a / (rate_a + rate_b)
 
 
@@ -360,8 +364,7 @@ class CharacteristicFunctionValue:
 
 def char_fn_single(rate: float, t: float) -> CharacteristicFunctionValue:
     """phi(t) = rate / (rate - i t) for one exponential variable."""
-    if not (math.isfinite(rate) and rate > 0.0):
-        raise DomainError(f"rate must be finite and positive, got {rate!r}")
+    _check_rate(rate, "rate")
     return CharacteristicFunctionValue(rate / (rate - 1j * t), t)
 
 
@@ -407,8 +410,7 @@ def partial_fraction_identity_check(rates: RatesLike, probe_rate: float) -> floa
     coefficient condition estimate.
     """
     rv = as_rate_vector(rates)
-    if not (math.isfinite(probe_rate) and probe_rate > 0.0):
-        raise DomainError(f"probe rate must be finite and positive, got {probe_rate!r}")
+    _check_rate(probe_rate, "probe rate")
     for r in rv.rates:
         if abs(r - probe_rate) <= rv.cluster_tolerance * max(r, probe_rate):
             raise DomainError(f"probe rate {probe_rate!r} collides with rate {r!r}")
@@ -433,17 +435,10 @@ def gamma_limit_error(lambda_mean: float, delta: float, z_grid) -> float:
     path evaluates the Gamma(2, lambda_mean) density exactly, so the
     deviation is zero.
     """
-    if not (math.isfinite(lambda_mean) and lambda_mean > 0.0):
-        raise DomainError(f"lambda_mean must be finite and positive, got {lambda_mean!r}")
+    _check_rate(lambda_mean, "lambda_mean")
     if not (0.0 <= delta < 0.5):
         raise DomainError(f"delta must lie in [0, 0.5), got {delta!r}")
-    zz = np.asarray(z_grid, dtype=np.float64)
-    if np.any(zz < 0.0):
-        raise DomainError("grid points must be non-negative")
+    zz = np.atleast_1d(_check_points(z_grid))
     reference = lambda_mean**2 * zz * np.exp(-lambda_mean * zz)
-    rv = RateVector((lambda_mean * (1.0 + delta), lambda_mean * (1.0 - delta)))
-    if rv.min_cross_cluster_gap < SWITCH_THRESHOLD:
-        approx = np.array([conv_pdf(rv, float(z)) for z in zz])
-    else:
-        approx = mixture_eval_grid(conv_mixture(rv), zz)
+    approx = conv_pdf((lambda_mean * (1.0 + delta), lambda_mean * (1.0 - delta)), zz)
     return float(np.max(np.abs(approx - reference)))

@@ -48,6 +48,35 @@ QUANTILE_BRACKET_SIGMAS = 40.0
 
 
 # ---------------------------------------------------------------------------
+# argument checks
+
+
+def _check_rate(value: float, name: str) -> float:
+    """``value`` as a float; DomainError naming ``name`` unless finite and positive."""
+    if not (math.isfinite(value) and value > 0.0):
+        raise DomainError(f"{name} must be finite and positive, got {value!r}")
+    return float(value)
+
+
+def _check_points(z) -> float | np.ndarray:
+    """A scalar z as a float, anything else as a float64 array.
+
+    Raises DomainError unless every point is finite and non-negative, so NaN
+    and infinite arguments never reach the kernels.  Python numbers skip
+    numpy, whose per-call overhead would dominate the per-point loops.
+    """
+    if isinstance(z, (int, float)):
+        if not (math.isfinite(z) and z >= 0.0):
+            raise DomainError(f"points must be finite and non-negative, got {z!r}")
+        return float(z)
+    zz = np.asarray(z, dtype=np.float64)
+    bad = ~(np.isfinite(zz) & (zz >= 0.0))
+    if np.any(bad):
+        raise DomainError(f"points must be finite and non-negative, got {float(zz[bad].flat[0])!r}")
+    return float(zz) if zz.ndim == 0 else zz
+
+
+# ---------------------------------------------------------------------------
 # rate vectors
 
 
@@ -71,12 +100,9 @@ class RateVector:
     clusters: tuple[tuple[int, ...], ...] = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
-        rates = tuple(float(r) for r in self.rates)
+        rates = tuple(_check_rate(float(r), "rates") for r in self.rates)
         if len(rates) == 0:
             raise DomainError("rate vector must be non-empty")
-        for r in rates:
-            if not math.isfinite(r) or r <= 0.0:
-                raise DomainError(f"rates must be finite and positive, got {r!r}")
         tol = float(self.cluster_tolerance)
         if not (0.0 <= tol < 0.5):
             raise DomainError(f"cluster_tolerance must lie in [0, 0.5), got {tol!r}")
@@ -157,24 +183,17 @@ class ExponentialLaw:
     rate: float
 
     def __post_init__(self) -> None:
-        r = float(self.rate)
-        if not math.isfinite(r) or r <= 0.0:
-            raise DomainError(f"rate must be finite and positive, got {r!r}")
-        object.__setattr__(self, "rate", r)
+        object.__setattr__(self, "rate", _check_rate(float(self.rate), "rate"))
 
 
 def exp_pdf(law: ExponentialLaw, x: float) -> float:
-    """Density rate * exp(-rate * x); raises DomainError for x < 0."""
-    if x < 0.0:
-        raise DomainError(f"pdf argument must be non-negative, got {x!r}")
-    return law.rate * math.exp(-law.rate * x)
+    """Density rate * exp(-rate * x); raises DomainError unless x is finite and >= 0."""
+    return law.rate * math.exp(-law.rate * _check_points(x))
 
 
 def exp_cdf(law: ExponentialLaw, x: float) -> float:
     """Distribution function 1 - exp(-rate * x), via expm1 to avoid cancellation."""
-    if x < 0.0:
-        raise DomainError(f"cdf argument must be non-negative, got {x!r}")
-    return -math.expm1(-law.rate * x)
+    return -math.expm1(-law.rate * _check_points(x))
 
 
 def exp_sample(law: ExponentialLaw, rng_stream: np.random.Generator) -> float:
@@ -207,12 +226,14 @@ def _canonicalize(
     Rates are considered equal within TERM_MERGE_TOLERANCE relative, so subset
     sums that differ only in the last ulp collapse to one term.  The merged
     term keeps the smallest rate of its group; exact-zero coefficients are
-    dropped.
+    dropped.  Ties are broken by coefficient, so the summation order inside a
+    group, and with it the rounding of the merged coefficient, does not depend
+    on the order the terms were given in.
     """
     if coefficients.size == 0:
         return coefficients, rates, degrees
     # merge pass grouped by (degree, rate) so rate-adjacency is within a degree
-    order = np.lexsort((rates, degrees))
+    order = np.lexsort((coefficients, rates, degrees))
     c, r, d = coefficients[order], rates[order], degrees[order]
     gap = (r[1:] - r[:-1]) > TERM_MERGE_TOLERANCE * np.maximum(r[1:], r[:-1])
     new_group = gap | (d[1:] != d[:-1])
@@ -336,8 +357,7 @@ def mixture_eval(m: SignedExponentialMixture, z: float) -> float:
     summation, so alternating-sign cancellation costs no more than the
     rounding already present in the individual terms.
     """
-    if z < 0.0:
-        raise DomainError(f"mixture argument must be non-negative, got {z!r}")
+    z = _check_points(z)
     if m.n_terms == 0:
         return 0.0
     vals = m.coefficients * np.power(z, m.degrees) * np.exp(-m.rates * z)
@@ -351,9 +371,7 @@ def mixture_eval_grid(m: SignedExponentialMixture, z: np.ndarray) -> np.ndarray:
     Uses numpy pairwise summation over terms; for severely ill-conditioned
     mixtures prefer the scalar mixture_eval, which is fully compensated.
     """
-    zz = np.asarray(z, dtype=np.float64)
-    if np.any(zz < 0.0):
-        raise DomainError("mixture arguments must be non-negative")
+    zz = np.atleast_1d(_check_points(z))
     if m.n_terms == 0:
         return np.zeros_like(zz)
     c = m.coefficients[:, None]
@@ -411,17 +429,13 @@ def mixture_cdf(m: SignedExponentialMixture, z: float) -> float:
     as a warning rather than silently absorbed.
     """
     _require_density(m, "mixture_cdf")
-    if z < 0.0:
-        raise DomainError(f"cdf argument must be non-negative, got {z!r}")
-    return _clamp_unit(_cdf_raw(m, z), "mixture_cdf")
+    return _clamp_unit(_cdf_raw(m, _check_points(z)), "mixture_cdf")
 
 
 def mixture_cdf_grid(m: SignedExponentialMixture, z: np.ndarray) -> np.ndarray:
     """Vectorized cdf over a grid (same termwise antiderivative as mixture_cdf)."""
     _require_density(m, "mixture_cdf")
-    zz = np.asarray(z, dtype=np.float64)
-    if np.any(zz < 0.0):
-        raise DomainError("cdf arguments must be non-negative")
+    zz = np.atleast_1d(_check_points(z))
     c = m.coefficients[:, None]
     lam = m.rates[:, None]
     k = m.degrees[:, None]
@@ -443,27 +457,32 @@ def mixture_moment(m: SignedExponentialMixture, order: int) -> float:
     return math.fsum(vals[np.argsort(np.abs(vals))[::-1]])
 
 
-def mixture_quantile(m: SignedExponentialMixture, p: float) -> float:
-    """Inverse cdf of a density mixture.
+def _solve_quantile(cdf, p: float, mean: float, var: float) -> float:
+    """Root of cdf(t) = p for a distribution with the given mean and variance.
 
     Brackets the root on [0, mean + 40 sigma] (expanding in the extreme upper
-    tail) and solves with a safeguarded bracketing root finder to a cdf
-    residual of at most 1e-10.
+    tail) and solves with a safeguarded bracketing root finder; raises
+    NumericalError unless the cdf residual at the root is at most 1e-10.
     """
-    _require_density(m, "mixture_quantile")
     if not (0.0 < p < 1.0):
         raise DomainError(f"quantile level must lie strictly in (0,1), got {p!r}")
-    mean = mixture_moment(m, 1)
-    var = max(mixture_moment(m, 2) - mean * mean, 0.0)
     hi = mean + QUANTILE_BRACKET_SIGMAS * math.sqrt(var)
     for _ in range(200):
-        if _cdf_raw(m, hi) >= p:
+        if cdf(hi) >= p:
             break
         hi *= 1.5
     else:  # pragma: no cover - unreachable for genuine densities
         raise NumericalError(f"failed to bracket quantile level {p}")
-    root = brentq(lambda t: _cdf_raw(m, t) - p, 0.0, hi, xtol=1e-13, rtol=4 * np.finfo(float).eps, maxiter=200)
-    residual = abs(_cdf_raw(m, root) - p)
+    root = brentq(lambda t: cdf(t) - p, 0.0, hi, xtol=1e-13, rtol=4 * np.finfo(float).eps, maxiter=200)
+    residual = abs(cdf(root) - p)
     if residual > 1e-10:
         raise NumericalError(f"quantile residual {residual:.3e} exceeds 1e-10 at p={p}")
     return float(root)
+
+
+def mixture_quantile(m: SignedExponentialMixture, p: float) -> float:
+    """Inverse cdf of a density mixture, to a cdf residual of at most 1e-10."""
+    _require_density(m, "mixture_quantile")
+    mean = mixture_moment(m, 1)
+    var = max(mixture_moment(m, 2) - mean * mean, 0.0)
+    return _solve_quantile(lambda t: _cdf_raw(m, t), p, mean, var)

@@ -27,6 +27,8 @@ from .core import (
     RatesLike,
     RateVector,
     SignedExponentialMixture,
+    _check_points,
+    _check_rate,
     as_rate_vector,
     exp_cdf,
     exp_pdf,
@@ -90,12 +92,12 @@ def max_pdf(rates: RatesLike, z: float) -> float:
     return max(mixture_eval(max_mixture(rates), z), 0.0)
 
 
-def max_cdf(rates: RatesLike, z: float) -> float:
-    """P(max <= z) = prod_n (1 - exp(-lambda_n z)); stable for any N."""
-    rv = as_rate_vector(rates)
-    if z < 0.0:
-        raise DomainError(f"cdf argument must be non-negative, got {z!r}")
-    return float(np.prod(-np.expm1(-np.asarray(rv.rates) * z)))
+def max_cdf(rates: RatesLike, z: float | np.ndarray) -> float | np.ndarray:
+    """P(max <= z) = prod_n (1 - exp(-lambda_n z)) at a scalar or an array z; stable for any N."""
+    lam = np.asarray(as_rate_vector(rates).rates)
+    zz = _check_points(z)
+    values = np.prod(-np.expm1(-lam[None, :] * np.atleast_1d(zz)[:, None]), axis=1)
+    return float(values[0]) if isinstance(zz, float) else values
 
 
 def range2_mixture(rate_1: float, rate_2: float) -> SignedExponentialMixture:
@@ -106,8 +108,7 @@ def range2_mixture(rate_1: float, rate_2: float) -> SignedExponentialMixture:
     (rate_1/(rate_1+rate_2)) f_2 + (rate_2/(rate_1+rate_2)) f_1.
     """
     for r in (rate_1, rate_2):
-        if not (math.isfinite(r) and r > 0.0):
-            raise DomainError(f"rates must be finite and positive, got {r!r}")
+        _check_rate(r, "rates")
     total = rate_1 + rate_2
     return SignedExponentialMixture.from_terms(
         [
@@ -126,8 +127,7 @@ def max2_via_convolution(rate_1: float, rate_2: float) -> SignedExponentialMixtu
     max_mixture(rate_1, rate_2) term for term after canonicalization.
     """
     for r in (rate_1, rate_2):
-        if not (math.isfinite(r) and r > 0.0):
-            raise DomainError(f"rates must be finite and positive, got {r!r}")
+        _check_rate(r, "rates")
     total = rate_1 + rate_2
     parts = [
         conv_mixture(RateVector((total, rate_2))).scaled(rate_1 / total),
@@ -173,8 +173,7 @@ def order_statistic_cdf(req: OrderStatisticRequest, z: float) -> float:
     to the minimum's exponential cdf at r=1 and to the product form at r=N.
     """
     rv = req.rates
-    if z < 0.0:
-        raise DomainError(f"cdf argument must be non-negative, got {z!r}")
+    z = _check_points(z)
     if rv.n > SUBSET_LIMIT:
         raise CapacityError(
             f"order-statistic cdf over {rv.n} rates exceeds the {SUBSET_LIMIT}-rate limit"
@@ -195,8 +194,7 @@ def order_statistic_pdf(req: OrderStatisticRequest, z: float, h: float = 1e-5) -
     central finite difference of the dynamic-programming cdf with step h.
     """
     rv = req.rates
-    if z < 0.0:
-        raise DomainError(f"pdf argument must be non-negative, got {z!r}")
+    z = _check_points(z)
     if req.r == 1:
         return exp_pdf(min_law(rv), z)
     if req.r == rv.n:

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 from scipy.special import gammainc
 
-from .core import RatesLike, as_rate_vector
+from .core import RatesLike, _check_points, as_rate_vector
 from .errors import DomainError
 
 # Relative node spacing: rate * spacing <= H_REL wherever a component kernel
@@ -109,9 +109,7 @@ def sum_pdf_quadrature(rates: RatesLike, z_points: np.ndarray) -> np.ndarray:
     surviving kernel.
     """
     rv = as_rate_vector(rates)
-    z = np.atleast_1d(np.asarray(z_points, dtype=np.float64))
-    if np.any(z < 0.0):
-        raise DomainError("evaluation points must be non-negative")
+    z = np.atleast_1d(_check_points(z_points))
     ordered = sorted(rv.rates, reverse=True)
     if len(ordered) == 1:
         return ordered[0] * np.exp(-ordered[0] * z)

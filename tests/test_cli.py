@@ -9,7 +9,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import numpy as np
 import pytest
 
-from expstat import conv_mixture, max_cdf, mixture_eval_grid
+from expstat import conv_mixture, max_cdf, mixture_eval_grid, sum_route
 from expstat.cli import DEFAULT_SEED, SEED_ENV_VAR, main
 
 LN2 = math.log(2.0)
@@ -292,6 +292,13 @@ def test_check_near_degenerate_exits_clean(monkeypatch):
     )
     assert code == 0, out
     assert not any(" FAIL" in ln for ln in out.strip().split("\n"))
+
+
+@pytest.mark.parametrize("rates", ["1,2,3", "1,1,4", "1,1.0005,2"])
+def test_check_reports_the_route_sum_route_takes(monkeypatch, rates):
+    _, out, _ = run_cli(["check", "--rates", rates, "--seed", "11"], monkeypatch)
+    path = out.split("\n")[0].split("evaluation_path=")[1]
+    assert path == sum_route([float(r) for r in rates.split(",")])[0]
 
 
 def test_check_rejects_invalid_rates(monkeypatch):

@@ -32,6 +32,7 @@ from expstat import (
     ordering_probability,
     partial_fraction_identity_check,
     sum_pdf_quadrature,
+    sum_route,
 )
 
 E_INV = math.exp(-1.0)
@@ -255,6 +256,23 @@ def test_dispatch_is_continuous_across_switch_threshold():
         assert abs(conv_pdf((1.0, 1.0 + g_lo), z) - conv_pdf((1.0, 1.0 + g_hi), z)) < 1e-8
 
 
+@pytest.mark.parametrize(
+    "rates, route",
+    [((0.5, 1.0, 4.0), "closed-form"), ((1.0, 1.0, 4.0), "erlang-block"), ((1.0, 1.0005, 2.0), "phase-type")],
+)
+def test_array_and_scalar_sum_law_agree_on_every_route(rates, route):
+    assert sum_route(rates)[0] == route
+    z = np.linspace(0.0, 8.0, 41)
+    for fn in (conv_pdf, conv_cdf):
+        grid = fn(rates, z)
+        scalar = np.array([fn(rates, float(x)) for x in z])
+        assert grid.shape == z.shape
+        if route == "phase-type":
+            np.testing.assert_array_equal(grid, scalar)
+        else:
+            np.testing.assert_allclose(grid, scalar, rtol=1e-12, atol=1e-15)
+
+
 # ---------------------------------------------------------------------------
 # cdf, quantile, moments
 
@@ -279,7 +297,8 @@ def test_conv_cdf_phase_window_agrees_with_erlang_limit():
 
 
 def test_conv_quantile_roundtrip():
-    for rates in ((1.0, 2.0), (0.1, 1.0, 10.0), (1.0, 1.0, 4.0)):
+    chain = tuple((1.0 + 5e-4) ** i for i in range(6))
+    for rates in ((1.0, 2.0), (0.1, 1.0, 10.0), (1.0, 1.0, 4.0), (1.0, 1.0001, 2.0), chain):
         for p in (0.05, 0.25, 0.5, 0.9, 0.99):
             z = conv_quantile(rates, p)
             assert conv_cdf(rates, z) == pytest.approx(p, abs=1e-9)

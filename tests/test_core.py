@@ -1,5 +1,6 @@
 """Core primitives: rate vectors, clustering, signed exponential mixtures."""
 
+import itertools
 import math
 
 import numpy as np
@@ -9,7 +10,11 @@ from hypothesis import strategies as st
 
 from conftest import random_rate_sets, rate_strategy, separated_rate_strategy
 from expstat import (
+    OrderStatisticRequest,
+    conv_cdf,
     conv_coefficients,
+    conv_pdf,
+    conv_pdf_phase_type,
     ContractError,
     DomainError,
     ExponentialLaw,
@@ -22,14 +27,21 @@ from expstat import (
     exp_pdf,
     exp_sample,
     make_stream,
+    max_cdf,
     max_mixture,
+    max_pdf,
+    min_cdf,
     mixture_cdf,
+    mixture_cdf_grid,
     mixture_eval,
     mixture_eval_grid,
     mixture_integral,
     mixture_moment,
     mixture_quantile,
     mixture_sum,
+    order_statistic_cdf,
+    order_statistic_pdf,
+    sum_pdf_quadrature,
 )
 
 E_INV = math.exp(-1.0)
@@ -207,6 +219,16 @@ def test_mixture_canonical_form_is_permutation_invariant(raw_terms, rnd):
     assert a == b
 
 
+def test_mixture_merge_does_not_depend_on_term_order():
+    # 0.1 + 0.2 + 0.3 rounds to 0.6 or 0.6000000000000001 depending on the
+    # summation order; the canonical form must pick one for every order
+    terms = [MixtureTerm(0.1, 5.0, 0), MixtureTerm(0.2, 5.0, 0), MixtureTerm(0.3, 5.0, 0)]
+    merged = {
+        SignedExponentialMixture.from_terms(perm).terms for perm in itertools.permutations(terms)
+    }
+    assert len(merged) == 1
+
+
 # ---------------------------------------------------------------------------
 # evaluation, integration, moments
 
@@ -233,6 +255,37 @@ def test_mixture_eval_rejects_negative_argument():
         mixture_eval(mix, -1e-9)
     with pytest.raises(DomainError):
         mixture_eval_grid(mix, np.array([0.0, -1.0]))
+
+
+_MIX = conv_mixture((1.0, 2.0, 3.0))
+_ORDER = OrderStatisticRequest((1.0, 2.0, 3.0), 2)
+_POINTWISE = {
+    "exp_pdf": lambda z: exp_pdf(ExponentialLaw(1.0), z),
+    "exp_cdf": lambda z: exp_cdf(ExponentialLaw(1.0), z),
+    "mixture_eval": lambda z: mixture_eval(_MIX, z),
+    "mixture_eval_grid": lambda z: mixture_eval_grid(_MIX, np.array([1.0, z])),
+    "mixture_cdf": lambda z: mixture_cdf(_MIX, z),
+    "mixture_cdf_grid": lambda z: mixture_cdf_grid(_MIX, np.array([1.0, z])),
+    "conv_pdf": lambda z: conv_pdf((1.0, 2.0, 3.0), z),
+    "conv_cdf": lambda z: conv_cdf((1.0, 2.0, 3.0), z),
+    "conv_pdf_array": lambda z: conv_pdf((1.0, 2.0, 3.0), np.array([1.0, z])),
+    "conv_cdf_phase": lambda z: conv_cdf((1.0, 1.0001, 2.0), z),
+    "conv_pdf_phase_type": lambda z: conv_pdf_phase_type((1.0, 2.0, 3.0), z),
+    "max_pdf": lambda z: max_pdf((1.0, 2.0, 3.0), z),
+    "max_cdf": lambda z: max_cdf((1.0, 2.0, 3.0), z),
+    "min_cdf": lambda z: min_cdf((1.0, 2.0, 3.0), z),
+    "order_statistic_cdf": lambda z: order_statistic_cdf(_ORDER, z),
+    "order_statistic_pdf": lambda z: order_statistic_pdf(_ORDER, z),
+    "sum_pdf_quadrature": lambda z: sum_pdf_quadrature((1.0, 2.0, 3.0), np.array([1.0, z])),
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+@pytest.mark.parametrize("name", sorted(_POINTWISE))
+def test_pdf_and_cdf_reject_nonfinite_and_negative_points(name, bad):
+    # NaN used to come back as NaN (or as 1.0 from the order-statistic cdf)
+    with pytest.raises(DomainError):
+        _POINTWISE[name](bad)
 
 
 def test_mixture_integral_frozen_values():

@@ -354,30 +354,19 @@ def ordering_probability(rate_a: float, rate_b: float) -> float:
 # characteristic-function identities
 
 
-@dataclass(frozen=True)
-class CharacteristicFunctionValue:
-    """Characteristic-function value at a real frequency; |value| <= 1, value(0) = 1."""
+def char_fn_product(rates: RatesLike, t: float) -> complex:
+    """Characteristic function of the sum at frequency t, prod_n lambda_n / (lambda_n - i t).
 
-    value: complex
-    frequency: float
-
-
-def char_fn_single(rate: float, t: float) -> CharacteristicFunctionValue:
-    """phi(t) = rate / (rate - i t) for one exponential variable."""
-    _check_rate(rate, "rate")
-    return CharacteristicFunctionValue(rate / (rate - 1j * t), t)
-
-
-def char_fn_product(rates: RatesLike, t: float) -> CharacteristicFunctionValue:
-    """Characteristic function of the sum as the product of the factors."""
+    |value| <= 1 and value(0) = 1; one rate gives the single exponential's transform.
+    """
     rv = as_rate_vector(rates)
     value = complex(1.0)
     for r in rv.rates:
         value *= r / (r - 1j * t)
-    return CharacteristicFunctionValue(value, t)
+    return value
 
 
-def char_fn_linear_combination(rates: RatesLike, t: float) -> CharacteristicFunctionValue:
+def char_fn_linear_combination(rates: RatesLike, t: float) -> complex:
     """The same transform written as sum_n A_n phi_n(t) (distinct rates only).
 
     Real and imaginary parts are each accumulated with compensated summation
@@ -392,10 +381,7 @@ def char_fn_linear_combination(rates: RatesLike, t: float) -> CharacteristicFunc
     parts = [
         a * (r / (r - 1j * t)) for a, r in zip(coeffs.coefficients, coeffs.rates)
     ]
-    value = complex(
-        math.fsum(p.real for p in parts), math.fsum(p.imag for p in parts)
-    )
-    return CharacteristicFunctionValue(value, t)
+    return complex(math.fsum(p.real for p in parts), math.fsum(p.imag for p in parts))
 
 
 def partial_fraction_identity_check(rates: RatesLike, probe_rate: float) -> float:
@@ -422,23 +408,3 @@ def partial_fraction_identity_check(rates: RatesLike, probe_rate: float) -> floa
     for r in rv.rates:
         right *= r / (r - probe_rate)
     return abs(left - right)
-
-
-# ---------------------------------------------------------------------------
-# gamma limit
-
-
-def gamma_limit_error(lambda_mean: float, delta: float, z_grid) -> float:
-    """Max deviation of the rates (lam(1+d), lam(1-d)) sum density from Gamma(2, lam).
-
-    The deviation decays quadratically in delta; at delta = 0 the clustered
-    path evaluates the Gamma(2, lambda_mean) density exactly, so the
-    deviation is zero.
-    """
-    _check_rate(lambda_mean, "lambda_mean")
-    if not (0.0 <= delta < 0.5):
-        raise DomainError(f"delta must lie in [0, 0.5), got {delta!r}")
-    zz = np.atleast_1d(_check_points(z_grid))
-    reference = lambda_mean**2 * zz * np.exp(-lambda_mean * zz)
-    approx = conv_pdf((lambda_mean * (1.0 + delta), lambda_mean * (1.0 - delta)), zz)
-    return float(np.max(np.abs(approx - reference)))

@@ -186,28 +186,6 @@ class ExponentialLaw:
         object.__setattr__(self, "rate", _check_rate(float(self.rate), "rate"))
 
 
-def exp_pdf(law: ExponentialLaw, x: float) -> float:
-    """Density rate * exp(-rate * x); raises DomainError unless x is finite and >= 0."""
-    return law.rate * math.exp(-law.rate * _check_points(x))
-
-
-def exp_cdf(law: ExponentialLaw, x: float) -> float:
-    """Distribution function 1 - exp(-rate * x), via expm1 to avoid cancellation."""
-    return -math.expm1(-law.rate * _check_points(x))
-
-
-def exp_sample(law: ExponentialLaw, rng_stream: np.random.Generator) -> float:
-    """One inverse-transform draw -ln(U)/rate, U uniform on (0,1).
-
-    Consumes exactly one uniform from the stream (a zero uniform, probability
-    2**-53, is redrawn so the result is always positive and finite).
-    """
-    u = rng_stream.random()
-    while u == 0.0:  # pragma: no cover - probability 2**-53
-        u = rng_stream.random()
-    return -math.log(u) / law.rate
-
-
 # ---------------------------------------------------------------------------
 # signed exponential mixtures
 

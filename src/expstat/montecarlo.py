@@ -2,9 +2,12 @@
 
 Streams are counter-based (Philox) and separated through SeedSequence spawn
 keys, so (seed, stream_id) fully determines a batch and distinct stream ids
-are statistically independent.  Batch draws use the inverse transform
--log(1 - U)/rate with one uniform per variable, consumed in replication-major
-order; reruns with the same (seed, stream_id, count) are bit-identical.
+are statistically independent.  Every sampler draws the same (count, N)
+matrix by the inverse transform -log(1 - U)/rate, one uniform per variable
+consumed in replication-major order, and reduces its rows: the sum, the
+minimum, the maximum, or the r-th smallest (np.partition).  Reruns with the
+same (seed, stream_id, count) are bit-identical, and on one stream the r=1
+and r=N order statistics equal the minimum and the maximum draw for draw.
 
 The goodness-of-fit side provides the one-sample Kolmogorov-Smirnov test at
 the asymptotic 1% level and an empirical independence (factorization) check
@@ -20,7 +23,7 @@ import numpy as np
 
 from .core import RatesLike, as_rate_vector
 from .errors import ContractError, DomainError
-from .orderstats import OrderStatisticRequest, order_statistic_sample
+from .orderstats import OrderStatisticRequest
 
 # Asymptotic one-sample KS critical constant at level alpha = 0.01, valid
 # for n > 35 (all shipped tests use n >= 1e4).
@@ -100,45 +103,36 @@ def _validated_count(count: int) -> int:
     return count
 
 
-def sample_sum(rates: RatesLike, count: int, seed: int, stream_id: int = 0) -> SampleBatch:
-    """iid draws of the sum of the component variables."""
+def _sample(rates: RatesLike, count: int, seed: int, stream_id: int, reduce) -> SampleBatch:
+    """Draw the (count, N) matrix on the (seed, stream_id) stream and reduce each row to one value."""
     rv = as_rate_vector(rates)
     count = _validated_count(count)
-    rng = make_stream(seed, stream_id)
-    values = _draw_matrix(rv, count, rng).sum(axis=1)
+    values = reduce(_draw_matrix(rv, count, make_stream(seed, stream_id)))
     return SampleBatch(values, int(seed), int(stream_id), count)
+
+
+def sample_sum(rates: RatesLike, count: int, seed: int, stream_id: int = 0) -> SampleBatch:
+    """iid draws of the sum of the component variables."""
+    return _sample(rates, count, seed, stream_id, lambda x: x.sum(axis=1))
 
 
 def sample_min(rates: RatesLike, count: int, seed: int, stream_id: int = 0) -> SampleBatch:
     """iid draws of the minimum."""
-    rv = as_rate_vector(rates)
-    count = _validated_count(count)
-    rng = make_stream(seed, stream_id)
-    values = _draw_matrix(rv, count, rng).min(axis=1)
-    return SampleBatch(values, int(seed), int(stream_id), count)
+    return _sample(rates, count, seed, stream_id, lambda x: x.min(axis=1))
 
 
 def sample_max(rates: RatesLike, count: int, seed: int, stream_id: int = 0) -> SampleBatch:
     """iid draws of the maximum."""
-    rv = as_rate_vector(rates)
-    count = _validated_count(count)
-    rng = make_stream(seed, stream_id)
-    values = _draw_matrix(rv, count, rng).max(axis=1)
-    return SampleBatch(values, int(seed), int(stream_id), count)
+    return _sample(rates, count, seed, stream_id, lambda x: x.max(axis=1))
 
 
 def sample_order(
     rates: RatesLike, r: int, count: int, seed: int, stream_id: int = 0
 ) -> SampleBatch:
-    """iid draws of the r-th order statistic via the sequential-spacing sampler."""
-    rv = as_rate_vector(rates)
-    count = _validated_count(count)
-    req = OrderStatisticRequest(rv, r)
-    rng = make_stream(seed, stream_id)
-    values = np.fromiter(
-        (order_statistic_sample(req, rng) for _ in range(count)), dtype=np.float64, count=count
-    )
-    return SampleBatch(values, int(seed), int(stream_id), count)
+    """iid draws of the r-th order statistic, the r-th smallest entry of each row."""
+    req = OrderStatisticRequest(rates, r)
+    k = req.r - 1
+    return _sample(req.rates, count, seed, stream_id, lambda x: np.partition(x, k, axis=1)[:, k])
 
 
 def sample_min_range_pairs(

@@ -1,18 +1,19 @@
 """Order statistics of independent heterogeneous exponentials.
 
-The minimum is exponential with the summed rate.  The maximum has an
-inclusion-exclusion density: one term per non-empty subset S of the rates,
-with coefficient (-1)^(|S|+1) (sum of S) and rate (sum of S); its cdf also
-has the unconditionally stable product form prod_n (1 - exp(-lambda_n z)).
-For two variables the range (max - min) is a positive two-term mixture,
-independent of the minimum by memorylessness, which yields a second
-construction of the maximum density as a convolution; the two paths must
-agree term for term.
+The minimum is exponential with the summed rate.  The maximum has the
+product cdf prod_n (1 - exp(-lambda_n z)); conditioning on which variable is
+largest gives its density as the derivative of that product,
+sum_n lambda_n exp(-lambda_n z) prod_{m != n} (1 - exp(-lambda_m z)), a sum
+of non-negative terms that is stable for any N.  The same density expanded
+by inclusion-exclusion is a signed mixture with one term per non-empty
+subset S of the rates, coefficient (-1)^(|S|+1) (sum of S) and rate (sum of
+S); it is kept for exact integrals only.  For two variables the range
+(max - min) is a positive two-term mixture, independent of the minimum by
+memorylessness, which yields a second construction of the maximum density
+as a convolution; the two paths must agree term for term.
 
-General order statistics are sampled by accumulating exponential spacings
-(the remaining-rates sum governs each spacing, and the variable that exits
-is chosen proportionally to its rate), and their cdf is a Poisson-binomial
-tail computed by dynamic programming over the events {X_n <= z}.
+The cdf of a general order statistic is a Poisson-binomial tail computed by
+dynamic programming over the events {X_n <= z}.
 """
 
 from __future__ import annotations
@@ -30,16 +31,13 @@ from .core import (
     _check_points,
     _check_rate,
     as_rate_vector,
-    exp_cdf,
-    exp_pdf,
-    mixture_eval,
     mixture_sum,
 )
 from .convolution import conv_mixture
 from .errors import CapacityError, DomainError
 
 # The inclusion-exclusion mixture has 2^N - 1 terms; 2^25 is still desk
-# scale, beyond that only the product-form cdf and sampling remain available.
+# scale, beyond that only the product forms and sampling remain available.
 SUBSET_LIMIT = 25
 
 
@@ -75,7 +73,7 @@ def max_mixture(rates: RatesLike) -> SignedExponentialMixture:
     if rv.n > SUBSET_LIMIT:
         raise CapacityError(
             f"inclusion-exclusion over {rv.n} rates exceeds the {SUBSET_LIMIT}-rate "
-            "limit; max_cdf and sampling remain available"
+            "limit; max_pdf, max_cdf and sampling remain available"
         )
     sums = np.empty(0, dtype=np.float64)
     signs = np.empty(0, dtype=np.float64)
@@ -87,9 +85,30 @@ def max_mixture(rates: RatesLike) -> SignedExponentialMixture:
     )
 
 
-def max_pdf(rates: RatesLike, z: float) -> float:
-    """Density of the maximum at z >= 0."""
-    return max(mixture_eval(max_mixture(rates), z), 0.0)
+def max_pdf(rates: RatesLike, z: float | np.ndarray) -> float | np.ndarray:
+    """Density of the maximum at a scalar or an array z, the derivative of the max_cdf product.
+
+    sum_n lambda_n exp(-lambda_n z) prod_{m != n} (1 - exp(-lambda_m z)), with
+    the products over the other rates taken from prefix and suffix products,
+    so nothing is divided by 1 - exp(-lambda z) and z = 0 gives exactly 0 for
+    N >= 2.  Memory is O(N x points).
+    """
+    lam = np.asarray(as_rate_vector(rates).rates)[:, None]
+    zz = _check_points(z)
+    x = lam * np.atleast_1d(zz)
+    p = -np.expm1(-x)
+    terms = lam * np.exp(-x)
+    # one row per rate, so each step multiplies whole rows of points
+    below = np.ones(x.shape[1])  # prod_{m < k} p_m
+    above = np.ones(x.shape[1])  # prod_{m > n - 1 - k} p_m
+    n = lam.shape[0]
+    for k in range(1, n):
+        below *= p[k - 1]
+        terms[k] *= below
+        above *= p[n - k]
+        terms[n - 1 - k] *= above
+    values = terms.sum(axis=0)
+    return float(values[0]) if isinstance(zz, float) else values
 
 
 def max_cdf(rates: RatesLike, z: float | np.ndarray) -> float | np.ndarray:
@@ -136,48 +155,14 @@ def max2_via_convolution(rate_1: float, rate_2: float) -> SignedExponentialMixtu
     return mixture_sum(parts, is_density=True)
 
 
-def order_statistic_sample(req: OrderStatisticRequest, rng_stream: np.random.Generator) -> float:
-    """One draw of the r-th order statistic by accumulating spacings.
-
-    By memorylessness the wait for the next smallest value is exponential
-    with the sum of the remaining rates, and the variable that achieves it
-    is the k-th remaining one with probability lambda_k / (remaining sum).
-    Consumes r spacing uniforms and r-1 selection uniforms.
-    """
-    remaining = list(req.rates.rates)
-    acc = 0.0
-    for step in range(req.r):
-        total = math.fsum(remaining)
-        u = rng_stream.random()
-        while u == 0.0:  # pragma: no cover - probability 2**-53
-            u = rng_stream.random()
-        acc += -math.log(u) / total
-        if step == req.r - 1:
-            break
-        v = rng_stream.random() * total
-        cum = 0.0
-        pick = len(remaining) - 1
-        for i, lam in enumerate(remaining):
-            cum += lam
-            if v < cum:
-                pick = i
-                break
-        remaining.pop(pick)
-    return acc
-
-
 def order_statistic_cdf(req: OrderStatisticRequest, z: float) -> float:
     """P(X_(r) <= z) as the Poisson-binomial tail P(at least r of {X_n <= z}).
 
-    Dynamic programming over the independent Bernoulli indicators; reduces
-    to the minimum's exponential cdf at r=1 and to the product form at r=N.
+    Dynamic programming over the independent Bernoulli indicators, O(N^2)
+    per point; reduces to min_cdf at r=1 and to max_cdf at r=N.
     """
     rv = req.rates
     z = _check_points(z)
-    if rv.n > SUBSET_LIMIT:
-        raise CapacityError(
-            f"order-statistic cdf over {rv.n} rates exceeds the {SUBSET_LIMIT}-rate limit"
-        )
     p = -np.expm1(-np.asarray(rv.rates) * z)
     dp = np.zeros(rv.n + 1)
     dp[0] = 1.0
@@ -196,7 +181,8 @@ def order_statistic_pdf(req: OrderStatisticRequest, z: float, h: float = 1e-5) -
     rv = req.rates
     z = _check_points(z)
     if req.r == 1:
-        return exp_pdf(min_law(rv), z)
+        rate = min_law(rv).rate
+        return rate * math.exp(-rate * z)
     if req.r == rv.n:
         return max_pdf(rv, z)
     lo = max(z - h, 0.0)
@@ -206,6 +192,10 @@ def order_statistic_pdf(req: OrderStatisticRequest, z: float, h: float = 1e-5) -
     return max((f_hi - f_lo) / (hi - lo), 0.0)
 
 
-def min_cdf(rates: RatesLike, z: float) -> float:
-    """P(min <= z), the exponential cdf at the summed rate."""
-    return exp_cdf(min_law(rates), z)
+def min_cdf(rates: RatesLike, z: float | np.ndarray) -> float | np.ndarray:
+    """P(min <= z) = 1 - exp(-z sum_n lambda_n) at a scalar or an array z, via expm1."""
+    rate = min_law(rates).rate
+    zz = _check_points(z)
+    if isinstance(zz, float):
+        return -math.expm1(-rate * zz)
+    return -np.expm1(-rate * zz)

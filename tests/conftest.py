@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 from hypothesis import strategies as st
 
-from expstat import conv_quantile
+from expstat import conv_pdf, conv_quantile
 
 
 def random_rate_sets(
@@ -32,6 +32,19 @@ def random_rate_sets(
 def quantile_grid(rates, n_points: int = 20, p_lo: float = 0.02, p_hi: float = 0.98) -> np.ndarray:
     """Evaluation points at sum-law quantiles, away from the deep tails."""
     return np.array([conv_quantile(rates, p) for p in np.linspace(p_lo, p_hi, n_points)])
+
+
+def gamma_limit_error(lambda_mean: float, delta: float, z_grid) -> float:
+    """Max deviation of the rates (lam(1+d), lam(1-d)) sum density from Gamma(2, lam).
+
+    The deviation decays quadratically in delta; at delta = 0 the clustered
+    path evaluates the Gamma(2, lambda_mean) density exactly, so the
+    deviation is zero.
+    """
+    zz = np.asarray(z_grid, dtype=np.float64)
+    reference = lambda_mean**2 * zz * np.exp(-lambda_mean * zz)
+    approx = conv_pdf((lambda_mean * (1.0 + delta), lambda_mean * (1.0 - delta)), zz)
+    return float(np.max(np.abs(approx - reference)))
 
 
 def rate_strategy(min_size: int = 1, max_size: int = 8):

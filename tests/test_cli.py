@@ -4,12 +4,13 @@ import io
 import math
 import subprocess
 import sys
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
 
-from expstat import conv_mixture, max_cdf, mixture_eval_grid, sum_route
+from expstat import conv_mixture, max_cdf, max_pdf, mixture_eval_grid, sum_route
 from expstat.cli import DEFAULT_SEED, SEED_ENV_VAR, main
 
 LN2 = math.log(2.0)
@@ -88,6 +89,24 @@ def test_curve_max_cdf_frozen_value(monkeypatch):
     _, rows = parse_csv(out)
     assert rows[0][1] == pytest.approx(0.375, rel=1e-14)
     assert rows[1][1] == pytest.approx(max_cdf((1.0, 2.0), 2 * LN2), rel=1e-14)
+
+
+def test_curve_max_pdf_memory_stays_linear_in_rates(monkeypatch):
+    # the inclusion-exclusion grid over 2^20 - 1 subset sums needed about 10 GB
+    rates = tuple(0.1 * 1.25**k for k in range(20))
+    argv = ["curve", "--stat", "max", "--quantity", "pdf", "--rates", ",".join(map(repr, rates))]
+    tracemalloc.start()
+    try:
+        code, out, _ = run_cli(argv + ["--points", "401"], monkeypatch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 50e6
+    _, rows = parse_csv(out)
+    assert len(rows) == 401
+    assert rows[0][1] == 0.0
+    assert [v for _, v in rows] == list(max_pdf(rates, np.linspace(0.0, 10.0, 401)))
 
 
 def test_curve_min_cdf_is_pooled_exponential(monkeypatch):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special
 
-from conftest import quantile_grid, random_rate_sets, separated_rate_strategy
+from conftest import gamma_limit_error, quantile_grid, random_rate_sets, separated_rate_strategy
 from expstat import (
     DegenerateRatesError,
     DomainError,
@@ -16,7 +16,6 @@ from expstat import (
     RateVector,
     char_fn_linear_combination,
     char_fn_product,
-    char_fn_single,
     conv_cdf,
     conv_coefficients,
     conv_mixture,
@@ -24,7 +23,6 @@ from expstat import (
     conv_pdf,
     conv_pdf_phase_type,
     conv_quantile,
-    gamma_limit_error,
     mixture_cdf,
     mixture_eval,
     mixture_eval_grid,
@@ -370,27 +368,27 @@ def test_ordering_probability_rejects_bad_rates():
 
 def test_char_fn_at_zero_is_one():
     for rates in ((1.0,), (1.0, 2.0), (0.3, 0.9, 2.7)):
-        v = char_fn_product(rates, 0.0)
-        assert v.value == 1.0 + 0.0j
+        assert char_fn_product(rates, 0.0) == 1.0 + 0.0j
 
 
 def test_char_fn_product_frozen_value():
     # (1/(1-i)) * (2/(2-i)) = 0.2 + 0.6i
-    v = char_fn_product((1.0, 2.0), 1.0)
-    assert v.value == pytest.approx(0.2 + 0.6j, abs=1e-15)
+    assert char_fn_product((1.0, 2.0), 1.0) == pytest.approx(0.2 + 0.6j, abs=1e-15)
 
 
 def test_char_fn_single_modulus_bounded():
     for t in np.linspace(-30.0, 30.0, 61):
-        assert abs(char_fn_single(2.0, float(t)).value) <= 1.0 + 1e-15
+        value = char_fn_product((2.0,), float(t))
+        assert value == 2.0 / (2.0 - 1j * float(t))
+        assert abs(value) <= 1.0 + 1e-15
 
 
 def test_char_fn_linear_combination_matches_product():
     for rates in random_rate_sets(seed=15, n_sets=20, n_min=2, n_max=8):
         scale = 10.0 * max(rates)
         for t in np.linspace(-scale, scale, 21):
-            lhs = char_fn_product(rates, float(t)).value
-            rhs = char_fn_linear_combination(rates, float(t)).value
+            lhs = char_fn_product(rates, float(t))
+            rhs = char_fn_linear_combination(rates, float(t))
             assert abs(lhs - rhs) <= 1e-12
 
 
@@ -453,11 +451,3 @@ def test_gamma_limit_single_point_matches_quadrature():
     mine = conv_pdf(rates, 1.0)
     ref = float(sum_pdf_quadrature(rates, np.array([1.0]))[0])
     assert mine == pytest.approx(ref, abs=1e-9)
-
-
-def test_gamma_limit_error_rejects_bad_inputs():
-    z = np.linspace(0.0, 5.0, 50)
-    with pytest.raises(DomainError):
-        gamma_limit_error(-1.0, 0.1, z)
-    with pytest.raises(DomainError):
-        gamma_limit_error(1.0, 1.5, z)

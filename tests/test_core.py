@@ -23,10 +23,6 @@ from expstat import (
     SignedExponentialMixture,
     as_rate_vector,
     conv_mixture,
-    exp_cdf,
-    exp_pdf,
-    exp_sample,
-    make_stream,
     max_cdf,
     max_mixture,
     max_pdf,
@@ -51,20 +47,25 @@ E_INV = math.exp(-1.0)
 # single exponential law
 
 
+def _one(rate):
+    # a single exponential is the order statistic r=1 of one variable
+    return OrderStatisticRequest((rate,), 1)
+
+
 def test_exp_pdf_at_origin_equals_rate():
-    assert exp_pdf(ExponentialLaw(1.0), 0.0) == 1.0
-    assert exp_pdf(ExponentialLaw(2.5), 0.0) == 2.5
+    assert order_statistic_pdf(_one(1.0), 0.0) == 1.0
+    assert order_statistic_pdf(_one(2.5), 0.0) == 2.5
 
 
 def test_exp_pdf_frozen_value():
-    assert exp_pdf(ExponentialLaw(1.0), 1.0) == pytest.approx(E_INV, rel=1e-15)
+    assert order_statistic_pdf(_one(1.0), 1.0) == pytest.approx(E_INV, rel=1e-15)
 
 
 def test_exp_cdf_values():
-    law = ExponentialLaw(2.0)
-    assert exp_cdf(law, 0.0) == 0.0
-    assert exp_cdf(law, 0.5) == pytest.approx(1.0 - E_INV, rel=1e-15)
-    assert exp_cdf(law, 1e6) == 1.0
+    req = _one(2.0)
+    assert order_statistic_cdf(req, 0.0) == 0.0
+    assert order_statistic_cdf(req, 0.5) == pytest.approx(1.0 - E_INV, rel=1e-15)
+    assert order_statistic_cdf(req, 1e6) == 1.0
 
 
 def test_exp_law_rejects_bad_rate():
@@ -75,23 +76,9 @@ def test_exp_law_rejects_bad_rate():
 
 def test_exp_negative_argument_rejected():
     with pytest.raises(DomainError):
-        exp_pdf(ExponentialLaw(1.0), -0.1)
+        order_statistic_pdf(_one(1.0), -0.1)
     with pytest.raises(DomainError):
-        exp_cdf(ExponentialLaw(1.0), -0.1)
-
-
-def test_exp_sample_is_inverse_transform_of_one_uniform():
-    # Same stream, consumed once: the draw must equal -log(u)/rate exactly.
-    u = make_stream(99, 0).random()
-    x = exp_sample(ExponentialLaw(2.0), make_stream(99, 0))
-    assert x == -math.log(u) / 2.0
-
-
-def test_exp_sample_mean_matches_clt_band():
-    rng = make_stream(7, 0)
-    law = ExponentialLaw(2.0)
-    draws = np.array([exp_sample(law, rng) for _ in range(1_000_000)])
-    assert abs(draws.mean() - 0.5) <= 3.0 * 0.5 / 1e3
+        order_statistic_cdf(_one(1.0), -0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -260,8 +247,8 @@ def test_mixture_eval_rejects_negative_argument():
 _MIX = conv_mixture((1.0, 2.0, 3.0))
 _ORDER = OrderStatisticRequest((1.0, 2.0, 3.0), 2)
 _POINTWISE = {
-    "exp_pdf": lambda z: exp_pdf(ExponentialLaw(1.0), z),
-    "exp_cdf": lambda z: exp_cdf(ExponentialLaw(1.0), z),
+    "exp_pdf": lambda z: order_statistic_pdf(_one(1.0), z),
+    "exp_cdf": lambda z: order_statistic_cdf(_one(1.0), z),
     "mixture_eval": lambda z: mixture_eval(_MIX, z),
     "mixture_eval_grid": lambda z: mixture_eval_grid(_MIX, np.array([1.0, z])),
     "mixture_cdf": lambda z: mixture_cdf(_MIX, z),
@@ -274,6 +261,8 @@ _POINTWISE = {
     "max_pdf": lambda z: max_pdf((1.0, 2.0, 3.0), z),
     "max_cdf": lambda z: max_cdf((1.0, 2.0, 3.0), z),
     "min_cdf": lambda z: min_cdf((1.0, 2.0, 3.0), z),
+    "min_cdf_array": lambda z: min_cdf((1.0, 2.0, 3.0), np.array([1.0, z])),
+    "max_pdf_array": lambda z: max_pdf((1.0, 2.0, 3.0), np.array([1.0, z])),
     "order_statistic_cdf": lambda z: order_statistic_cdf(_ORDER, z),
     "order_statistic_pdf": lambda z: order_statistic_pdf(_ORDER, z),
     "sum_pdf_quadrature": lambda z: sum_pdf_quadrature((1.0, 2.0, 3.0), np.array([1.0, z])),

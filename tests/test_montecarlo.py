@@ -13,7 +13,6 @@ from expstat import (
     SampleBatch,
     conv_cdf,
     conv_moments,
-    exp_cdf,
     ExponentialLaw,
     factorization_test,
     ks_test,
@@ -103,6 +102,16 @@ def test_sample_order_matches_order_sampler_stream():
     assert batch.count == 500
 
 
+def test_sample_order_extremes_are_the_min_and_max_draws():
+    # one draw matrix behind every sampler: r=1 and r=N pick the row min and max
+    for rates in ((2.0,), (1.0, 2.0, 3.0), (0.4, 0.9, 1.6, 2.6, 3.9)):
+        n = len(rates)
+        low = sample_order(rates, 1, 2000, seed=109, stream_id=3)
+        high = sample_order(rates, n, 2000, seed=109, stream_id=3)
+        assert low.values.tobytes() == sample_min(rates, 2000, seed=109, stream_id=3).values.tobytes()
+        assert high.values.tobytes() == sample_max(rates, 2000, seed=109, stream_id=3).values.tobytes()
+
+
 def test_sample_rejects_bad_count():
     with pytest.raises(DomainError):
         sample_sum((1.0,), 0, seed=1)
@@ -133,7 +142,7 @@ def test_ks_rejects_wrong_law_with_known_distance():
     rng = make_stream(107, 0)
     values = -np.log1p(-rng.random(100_000))
     batch = SampleBatch(values, seed=107, stream_id=0, count=100_000)
-    report = ks_test(batch, lambda z: exp_cdf(ExponentialLaw(2.0), float(z)))
+    report = ks_test(batch, lambda z: min_cdf((2.0,), float(z)))
     assert not report.passed
     assert report.ks_statistic == pytest.approx(0.25, abs=0.01)
     assert law.rate == 1.0
@@ -142,7 +151,7 @@ def test_ks_rejects_wrong_law_with_known_distance():
 def test_ks_single_observation_statistic():
     batch = SampleBatch(np.array([0.7]), seed=0, stream_id=0, count=1)
     report = ks_test(batch, lambda z: -np.expm1(-z))
-    f = exp_cdf(ExponentialLaw(1.0), 0.7)
+    f = min_cdf((1.0,), 0.7)
     assert report.ks_statistic == pytest.approx(max(1.0 - f, f), rel=1e-12)
 
 

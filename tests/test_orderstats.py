@@ -11,10 +11,8 @@ from conftest import random_rate_sets, separated_rate_strategy
 from expstat import (
     CapacityError,
     DomainError,
-    ExponentialLaw,
     OrderStatisticRequest,
     SampleBatch,
-    exp_sample,
     ks_test,
     make_stream,
     max2_via_convolution,
@@ -31,8 +29,8 @@ from expstat import (
     mixture_quantile,
     order_statistic_cdf,
     order_statistic_pdf,
-    order_statistic_sample,
     range2_mixture,
+    sample_order,
 )
 
 LN2 = math.log(2.0)
@@ -109,6 +107,38 @@ def test_max_pdf_matches_cdf_derivative():
     for z in (0.3, 1.0, 2.5):
         fd = (max_cdf(rates, z + h) - max_cdf(rates, z - h)) / (2.0 * h)
         assert max_pdf(rates, z) == pytest.approx(fd, abs=1e-6)
+
+
+def test_max_pdf_is_zero_at_origin():
+    for rates in ((1.0, 2.0), (0.5, 1.5, 4.0), tuple(float(k) for k in range(1, 13))):
+        assert max_pdf(rates, 0.0) == 0.0
+        assert max_pdf(rates, np.array([0.0, 1.0]))[0] == 0.0
+    assert max_pdf((2.5,), 0.0) == 2.5
+
+
+def test_max_pdf_matches_compensated_inclusion_exclusion():
+    rng = np.random.default_rng(25)
+    for n in range(1, 9):
+        rates = tuple(float(x) for x in np.exp(rng.uniform(np.log(0.1), np.log(10.0), n)))
+        mix = max_mixture(rates)
+        z = np.linspace(0.0, mixture_quantile(mix, 0.999), 60)
+        exact = np.array([mixture_eval(mix, float(x)) for x in z])
+        peak = float(np.max(exact))
+        assert np.max(np.abs(max_pdf(rates, z) - exact)) <= 1e-12 * peak
+        assert abs(max_pdf(rates, float(z[7])) - exact[7]) <= 1e-12 * peak
+
+
+def test_max_pdf_beyond_the_subset_limit():
+    # 30 rates: the inclusion-exclusion mixture would need 2^30 - 1 terms
+    rates = tuple(0.1 * 1.2**k for k in range(30))
+    z = np.linspace(0.0, 200.0, 2001)
+    pdf = max_pdf(rates, z)
+    assert np.all(np.isfinite(pdf)) and np.all(pdf >= 0.0)
+    assert np.trapezoid(pdf, z) == pytest.approx(max_cdf(rates, 200.0), abs=1e-4)
+    h = 1e-5
+    for x in (5.0, 20.0, 60.0):
+        fd = (max_cdf(rates, x + h) - max_cdf(rates, x - h)) / (2.0 * h)
+        assert max_pdf(rates, x) == pytest.approx(fd, rel=1e-6)
 
 
 def test_max_capacity_limit():
@@ -236,10 +266,14 @@ def test_order_cdf_decreasing_in_order():
     assert all(a >= b - 1e-14 for a, b in zip(vals, vals[1:]))
 
 
-def test_order_cdf_capacity_limit():
-    rates = tuple(float(k) for k in range(1, 27))
-    with pytest.raises(CapacityError):
-        order_statistic_cdf(OrderStatisticRequest(rates, 3), 1.0)
+def test_order_cdf_reduces_to_min_and_max_at_30_rates():
+    # the dynamic program enumerates no subsets, so it has no subset limit
+    rates = tuple(0.1 * 1.2**k for k in range(30))
+    for z in (0.01, 0.5, 3.0, 20.0, 80.0):
+        low = order_statistic_cdf(OrderStatisticRequest(rates, 1), z)
+        assert abs(low - min_cdf(rates, z)) <= 1e-14
+        high = order_statistic_cdf(OrderStatisticRequest(rates, 30), z)
+        assert abs(high - max_cdf(rates, z)) <= 1e-14
 
 
 def test_order_pdf_reduces_to_exact_forms():
@@ -259,29 +293,17 @@ def test_order_pdf_central_matches_cdf_derivative():
         assert order_statistic_pdf(req, z) == pytest.approx(fd, abs=1e-8)
 
 
-def test_order_sample_single_variable_matches_exp_sample():
-    req = OrderStatisticRequest((2.0,), 1)
-    a = order_statistic_sample(req, make_stream(31, 0))
-    b = exp_sample(ExponentialLaw(2.0), make_stream(31, 0))
-    assert a == b
-
-
 def test_order_sample_distribution_matches_dp_cdf():
     req = OrderStatisticRequest((1.0, 2.0, 3.0), 2)
-    rng = make_stream(32, 0)
-    n = 100_000
-    draws = np.array([order_statistic_sample(req, rng) for _ in range(n)])
-    batch = SampleBatch(draws, seed=32, stream_id=0, count=n)
+    batch = sample_order(req.rates, req.r, 100_000, seed=32, stream_id=0)
     report = ks_test(batch, lambda z: order_statistic_cdf(req, float(z)))
     assert report.passed
 
 
 def test_order_sample_is_deterministic_per_seed():
-    req = OrderStatisticRequest((0.5, 1.5, 2.5, 3.5), 3)
-    a = [order_statistic_sample(req, make_stream(33, 5)) for _ in range(1)]
-    rng1 = make_stream(33, 5)
-    rng2 = make_stream(33, 5)
-    xs = [order_statistic_sample(req, rng1) for _ in range(50)]
-    ys = [order_statistic_sample(req, rng2) for _ in range(50)]
-    assert xs == ys
+    rates = (0.5, 1.5, 2.5, 3.5)
+    a = sample_order(rates, 3, 1, seed=33, stream_id=5).values
+    xs = sample_order(rates, 3, 50, seed=33, stream_id=5).values
+    ys = sample_order(rates, 3, 50, seed=33, stream_id=5).values
+    assert xs.tobytes() == ys.tobytes()
     assert a[0] == xs[0]

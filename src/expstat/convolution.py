@@ -307,8 +307,8 @@ def conv_pdf(rates: RatesLike, z: float | np.ndarray) -> float | np.ndarray:
     if route == "phase-type":
         return _phase_eval(form, zz, "pdf")
     if isinstance(zz, float):
-        return max(mixture_eval(form, zz), 0.0)
-    return np.maximum(mixture_eval_grid(form, zz), 0.0)
+        return mixture_eval(form, zz)
+    return mixture_eval_grid(form, zz)
 
 
 def conv_cdf(rates: RatesLike, z: float | np.ndarray) -> float | np.ndarray:

@@ -333,14 +333,16 @@ def mixture_eval(m: SignedExponentialMixture, z: float) -> float:
 
     Term values are accumulated in descending magnitude with compensated
     summation, so alternating-sign cancellation costs no more than the
-    rounding already present in the individual terms.
+    rounding already present in the individual terms.  A density mixture is
+    clamped at zero: a negative value there is rounding in the coefficients.
     """
     z = _check_points(z)
     if m.n_terms == 0:
         return 0.0
     vals = m.coefficients * np.power(z, m.degrees) * np.exp(-m.rates * z)
     vals = vals[np.argsort(np.abs(vals))[::-1]]
-    return math.fsum(vals)
+    total = math.fsum(vals)
+    return max(total, 0.0) if m.is_density else total
 
 
 def mixture_eval_grid(m: SignedExponentialMixture, z: np.ndarray) -> np.ndarray:
@@ -348,6 +350,7 @@ def mixture_eval_grid(m: SignedExponentialMixture, z: np.ndarray) -> np.ndarray:
 
     Uses numpy pairwise summation over terms; for severely ill-conditioned
     mixtures prefer the scalar mixture_eval, which is fully compensated.
+    A density mixture is clamped at zero, as in mixture_eval.
     """
     zz = np.atleast_1d(_check_points(z))
     if m.n_terms == 0:
@@ -355,7 +358,8 @@ def mixture_eval_grid(m: SignedExponentialMixture, z: np.ndarray) -> np.ndarray:
     c = m.coefficients[:, None]
     lam = m.rates[:, None]
     k = m.degrees[:, None]
-    return np.sum(c * np.power(zz[None, :], k) * np.exp(-lam * zz[None, :]), axis=0)
+    vals = np.sum(c * np.power(zz[None, :], k) * np.exp(-lam * zz[None, :]), axis=0)
+    return np.maximum(vals, 0.0) if m.is_density else vals
 
 
 def mixture_integral(m: SignedExponentialMixture) -> float:

@@ -108,14 +108,18 @@ def _fmt(value: float) -> str:
 
 def _curve_values(req: CurveRequest, zz: np.ndarray) -> np.ndarray:
     rv = req.rates
-    if req.statistic == "sum":
+    statistic = req.statistic
+    if statistic == "order" and req.r in (1, rv.n):
+        # the extreme orders are the minimum and the maximum, whose kernels take the whole grid
+        statistic = "min" if req.r == 1 else "max"
+    if statistic == "sum":
         return (conv_pdf if req.quantity == "pdf" else conv_cdf)(rv, zz)
-    if req.statistic == "min":
+    if statistic == "min":
         if req.quantity == "pdf":
             rate = min_law(rv).rate
             return rate * np.exp(-rate * zz)
         return min_cdf(rv, zz)
-    if req.statistic == "max":
+    if statistic == "max":
         return (max_pdf if req.quantity == "pdf" else max_cdf)(rv, zz)
     req_order = OrderStatisticRequest(rv, int(req.r))
     if req.quantity == "pdf":

@@ -10,7 +10,16 @@ from contextlib import redirect_stderr, redirect_stdout
 import numpy as np
 import pytest
 
-from expstat import conv_mixture, max_cdf, max_pdf, mixture_eval_grid, sum_route
+from expstat import (
+    OrderStatisticRequest,
+    conv_mixture,
+    max_cdf,
+    max_pdf,
+    mixture_eval_grid,
+    order_statistic_cdf,
+    order_statistic_pdf,
+    sum_route,
+)
 from expstat.cli import DEFAULT_SEED, SEED_ENV_VAR, main
 
 LN2 = math.log(2.0)
@@ -170,6 +179,20 @@ def test_curve_order_statistic_values(monkeypatch):
     assert code == 0
     _, rows = parse_csv(out)
     assert rows[1][1] == pytest.approx(max_cdf((1.0, 2.0, 3.0), 1.0), abs=1e-12)
+
+
+@pytest.mark.parametrize("r", [1, 12])
+def test_curve_extreme_orders_match_pointwise_order_statistics(monkeypatch, r):
+    # r=1 and r=N take the whole-grid minimum and maximum kernels
+    rates = tuple(0.3 * 1.4**i for i in range(12))
+    req = OrderStatisticRequest(rates, r)
+    argv = ["curve", "--stat", "order", "--rates", ",".join(map(repr, rates)), "--r", str(r), "--range", "0:12"]
+    for quantity, fn, scale in (("pdf", order_statistic_pdf, None), ("cdf", order_statistic_cdf, 1.0)):
+        code, out, _ = run_cli(argv + ["--quantity", quantity, "--points", "401"], monkeypatch)
+        assert code == 0
+        z, got = np.array(parse_csv(out)[1]).T
+        ref = np.array([fn(req, float(x)) for x in z])
+        assert np.max(np.abs(got - ref)) <= 1e-14 * (scale or np.max(ref))
 
 
 def test_curve_rejects_bad_inputs(monkeypatch):

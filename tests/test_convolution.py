@@ -1,12 +1,13 @@
 """Sum-of-exponentials laws: coefficients, densities, transforms, limits."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate, special
+from scipy import integrate, special, stats
 
 from conftest import gamma_limit_error, quantile_grid, random_rate_sets, separated_rate_strategy
 from expstat import (
@@ -32,6 +33,7 @@ from expstat import (
     sum_pdf_quadrature,
     sum_route,
 )
+from expstat import convolution
 
 E_INV = math.exp(-1.0)
 LN2 = math.log(2.0)
@@ -242,6 +244,55 @@ def test_phase_pdf_near_degenerate_within_bound():
     assert val == pytest.approx(E_INV, abs=1e-8)
 
 
+@pytest.mark.parametrize("n", [2, 5, 12, 20])
+def test_phase_curve_repeated_rates_matches_gamma_density(n):
+    # the grid pass carries initial . expm(S z) across 4001 points; the
+    # non-negative products keep it at the one-expm-per-point accuracy
+    rate = 2.0
+    z = np.linspace(0.0, (n + 10.0 * math.sqrt(n)) / rate, 4001)
+    ref = stats.gamma.pdf(z, n, scale=1.0 / rate)
+    got = conv_pdf_phase_type((rate,) * n, z)
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(ref)
+
+
+def test_phase_curve_is_independent_of_point_order_and_repeats():
+    rates = (1.0, 1.0005, 2.0, 0.7, 0.7007)
+    assert sum_route(rates)[0] == "phase-type"
+    z = np.linspace(0.0, 20.0, 401)
+    rng = np.random.default_rng(7)
+    idx = rng.permutation(np.concatenate([np.arange(z.size), np.arange(0, z.size, 3)]))
+    for fn in (conv_pdf, conv_cdf):
+        np.testing.assert_array_equal(fn(rates, z[idx]), fn(rates, z)[idx])
+
+
+def test_phase_curve_takes_one_expm_per_distinct_gap(monkeypatch):
+    calls = []
+    expm = convolution.expm
+    monkeypatch.setattr(convolution, "expm", lambda a: calls.append(1) or expm(a))
+    rates = (1.0, 1.0005, 2.0)
+    z = np.linspace(0.0, 30.0, 4001)
+    for fn in (conv_pdf, conv_cdf):
+        calls.clear()
+        fn(rates, z)
+        assert len(calls) <= 32
+    calls.clear()
+    conv_pdf(rates, 1.7)
+    assert len(calls) == 1
+
+
+def test_phase_curve_memory_without_recurring_gaps():
+    # random points share no gap, so no step matrix is kept
+    rates = tuple((1.0 + 5e-4) ** i for i in range(20))
+    z = np.random.default_rng(11).uniform(0.0, 60.0, 4001)
+    tracemalloc.start()
+    try:
+        conv_pdf(rates, z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6
+
+
 def test_dispatch_is_continuous_across_switch_threshold():
     # rate pairs whose relative gap straddles 1e-3 by one part in 1e7: the
     # matrix and closed-form routes must hand over without a jump
@@ -265,10 +316,7 @@ def test_array_and_scalar_sum_law_agree_on_every_route(rates, route):
         grid = fn(rates, z)
         scalar = np.array([fn(rates, float(x)) for x in z])
         assert grid.shape == z.shape
-        if route == "phase-type":
-            np.testing.assert_array_equal(grid, scalar)
-        else:
-            np.testing.assert_allclose(grid, scalar, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(grid, scalar, rtol=1e-12, atol=1e-15)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Sequence, Union
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import factorial, gammainc
 
 from .errors import ContractError, DomainError, NumericalError
@@ -439,12 +438,70 @@ def mixture_moment(m: SignedExponentialMixture, order: int) -> float:
     return math.fsum(vals[np.argsort(np.abs(vals))[::-1]])
 
 
+def _brentq(f, xa: float, xb: float, xtol: float, rtol: float, maxiter: int) -> float:
+    """Root of f on [xa, xb] by Brent's method, step for step as scipy.optimize.brentq.
+
+    A port of scipy's C ``brentq`` (inverse quadratic or secant steps,
+    bisection when a step is too long or too slow), so roots agree with scipy
+    bit for bit without importing scipy.optimize.  Raises ValueError when
+    f(xa) and f(xb) have the same sign or f returns NaN, and RuntimeError
+    when maxiter iterations do not converge, as scipy does.
+    """
+
+    def call(x: float) -> float:
+        fx = f(x)
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x:.6g} is NaN; solver cannot continue.")
+        return fx
+
+    xpre, xcur = xa, xb
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = call(xpre), call(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                denom = dblk * dpre * (fblk - fpre)
+                # the product can underflow to 0; C's infinite or NaN step then fails the test below
+                stry = -fcur * (fblk * dblk - fpre * dpre) / denom if denom != 0 else math.inf
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = call(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations, value is {xcur:f}")
+
+
 def _solve_quantile(cdf, p: float, mean: float, var: float) -> float:
     """Root of cdf(t) = p for a distribution with the given mean and variance.
 
     Brackets the root on [0, mean + 40 sigma] (expanding in the extreme upper
-    tail) and solves with a safeguarded bracketing root finder; raises
-    NumericalError unless the cdf residual at the root is at most 1e-10.
+    tail) and solves with _brentq, a port of scipy's Brent solver that keeps
+    scipy.optimize off the import path; raises NumericalError unless the cdf
+    residual at the root is at most 1e-10.
     """
     if not (0.0 < p < 1.0):
         raise DomainError(f"quantile level must lie strictly in (0,1), got {p!r}")
@@ -455,7 +512,7 @@ def _solve_quantile(cdf, p: float, mean: float, var: float) -> float:
         hi *= 1.5
     else:  # pragma: no cover - unreachable for genuine densities
         raise NumericalError(f"failed to bracket quantile level {p}")
-    root = brentq(lambda t: cdf(t) - p, 0.0, hi, xtol=1e-13, rtol=4 * np.finfo(float).eps, maxiter=200)
+    root = _brentq(lambda t: cdf(t) - p, 0.0, hi, xtol=1e-13, rtol=4 * np.finfo(float).eps, maxiter=200)
     residual = abs(cdf(root) - p)
     if residual > 1e-10:
         raise NumericalError(f"quantile residual {residual:.3e} exceeds 1e-10 at p={p}")

@@ -9,6 +9,10 @@ error is spline interpolation error, of order (rate * spacing)^4 per level.
 
 It is a verification tool, not a hot path: the closed-form and phase-type
 evaluations are checked against it in tests and in the ``check`` command.
+``CubicSpline`` is imported inside the two functions that build splines, so
+importing the package (and every command but ``check``) never loads
+scipy.interpolate, about 19 MB resident together with the scipy.optimize it
+pulls in.
 """
 
 from __future__ import annotations
@@ -16,7 +20,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 from scipy.special import gammainc
 
 from .core import RatesLike, _check_points, as_rate_vector
@@ -74,6 +77,8 @@ def convolve_exponential(grid: np.ndarray, values: np.ndarray, rate: float) -> n
     to regularized lower incomplete gamma values, so each level is exact up
     to spline interpolation error.
     """
+    from scipy.interpolate import CubicSpline
+
     spline = CubicSpline(grid, values)
     c = spline.c  # (4, nseg): c[0]*s^3 + c[1]*s^2 + c[2]*s + c[3]
     d = np.diff(grid)
@@ -108,6 +113,8 @@ def sum_pdf_quadrature(rates: RatesLike, z_points: np.ndarray) -> np.ndarray:
     descending rate order so the fine grid zone always matches the sharpest
     surviving kernel.
     """
+    from scipy.interpolate import CubicSpline
+
     rv = as_rate_vector(rates)
     z = np.atleast_1d(_check_points(z_points))
     ordered = sorted(rv.rates, reverse=True)

@@ -2,6 +2,7 @@
 
 import io
 import math
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -381,3 +382,22 @@ def test_process_exit_code_for_usage_error():
         timeout=120,
     )
     assert proc.returncode == 2
+
+
+def test_scipy_optimize_and_interpolate_stay_off_the_import_path():
+    # scipy.optimize and scipy.interpolate keep about 19 MB resident; only `check` may load them
+    script = (
+        "import sys\n"
+        "import expstat, expstat.cli\n"
+        "expstat.conv_quantile((1.0, 2.0, 3.0), 0.5)\n"
+        "expstat.conv_quantile((1.0, 1.0005, 2.0), 0.5)\n"
+        "expstat.cli.main(['curve', '--stat', 'sum', '--rates', '1,1.0005,2', '--points', '11'])\n"
+        "loaded = [m for m in sys.modules if m.startswith(('scipy.optimize', 'scipy.interpolate'))]\n"
+        "print('loaded:', *loaded)\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("z,value\n")
+    assert proc.stdout.splitlines()[-1] == "loaded:"

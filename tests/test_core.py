@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_rate_sets, rate_strategy, separated_rate_strategy
+from expstat import core
 from expstat import (
     OrderStatisticRequest,
     conv_cdf,
@@ -355,6 +356,44 @@ def test_mixture_quantile_rejects_bad_probability():
     for p in (-0.1, 0.0, 1.0, 1.1, math.nan):
         with pytest.raises(DomainError):
             mixture_quantile(mix, p)
+
+
+def _solver_outcome(solve, f, a, b, maxiter=200):
+    """The root's bits, or the exception type, of one solver call."""
+    try:
+        root = solve(f, a, b, xtol=1e-13, rtol=4 * np.finfo(float).eps, maxiter=maxiter)
+    except (ValueError, RuntimeError) as exc:
+        return type(exc)
+    return float(root).hex()
+
+
+def test_brentq_port_matches_scipy_bit_for_bit():
+    from scipy.optimize import brentq
+
+    cases = []
+    # conv_cdf - p on the closed-form, Erlang-block and phase-type routes
+    for rates in ((1.0, 2.0, 3.0), (1.0, 1.0, 4.0), (1.0, 1.0005, 2.0), (0.3, 0.7, 1.9, 4.4, 8.0)):
+        for p in (1e-9, 0.01, 0.25, 0.5, 0.9, 0.999999):
+            cases.append((lambda t, rates=rates, p=p: conv_cdf(rates, t) - p, 0.0, 60.0))
+    # toy functions: smooth, flat near the root, a step, a root at an endpoint
+    cases += [
+        (lambda x: x * x - 2.0, 0.0, 2.0),
+        (lambda x: math.cos(x) - x, -1.0, 3.0),
+        (lambda x: (x - 1.0) ** 9, -3.0, 7.0),
+        (lambda x: 1.0 if x > 0.3 else -1.0, 0.0, 1.0),
+        (lambda x: math.expm1(x), 0.0, 1.0),
+        (lambda x: 2.0 - x, -5.0, 2.0),
+        (lambda x: 1e-200 * (x**3 - 2.0), 0.0, 3.0),  # the extrapolation denominator underflows to 0
+        (lambda x: x * x - 1.0, 0.0, 0.5),  # same sign at both ends
+        (lambda x: math.nan if x > 0.7 else x - 0.9, 0.0, 1.0),  # NaN inside the bracket
+        (lambda x: math.nan, 0.0, 1.0),
+    ]
+    for f, a, b in cases:
+        for maxiter in (200, 2):
+            expected = _solver_outcome(brentq, f, a, b, maxiter)
+            assert _solver_outcome(core._brentq, f, a, b, maxiter) == expected, (a, b, maxiter)
+    outcomes = {_solver_outcome(core._brentq, f, a, b, m) for f, a, b in cases for m in (200, 2)}
+    assert {ValueError, RuntimeError} <= outcomes
 
 
 # ---------------------------------------------------------------------------

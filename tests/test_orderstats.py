@@ -276,6 +276,35 @@ def test_order_cdf_reduces_to_min_and_max_at_30_rates():
         assert abs(high - max_cdf(rates, z)) <= 1e-14
 
 
+def _order_cdf_numpy_reference(rates, r, z):
+    """The array-slice Poisson-binomial DP that order_statistic_cdf replaced."""
+    p = -np.expm1(-np.asarray(rates) * z)
+    dp = np.zeros(len(rates) + 1)
+    dp[0] = 1.0
+    for pn in p:
+        dp[1:] = dp[1:] * (1.0 - pn) + dp[:-1] * pn
+        dp[0] *= 1.0 - pn
+    return float(min(1.0, math.fsum(dp[r:])))
+
+
+def test_order_cdf_float_dp_is_bit_identical_to_array_dp():
+    rng = np.random.default_rng(20261018)
+    for n in range(1, 21):
+        for _ in range(3):
+            rates = tuple(float(x) for x in np.exp(rng.uniform(math.log(0.01), math.log(100.0), n)))
+            mean = math.fsum(1.0 / x for x in rates)
+            # z=0, the deep lower tail, the body, and the deep upper tail
+            points = [0.0, 1e-300, 1e-12 * mean, *rng.exponential(mean, 4).tolist(), 60.0 * mean, 1e4 * mean]
+            for r in range(1, n + 1):
+                req = OrderStatisticRequest(rates, r)
+                for z in points:
+                    expected = _order_cdf_numpy_reference(rates, r, z)
+                    for point in (float(z), np.float64(z)):
+                        got = order_statistic_cdf(req, point)
+                        assert type(got) is float
+                        assert got == expected, (rates, r, z)
+
+
 def test_order_pdf_reduces_to_exact_forms():
     rates = (1.0, 2.0, 3.0)
     for z in (0.2, 0.9, 2.0):

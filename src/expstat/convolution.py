@@ -15,7 +15,11 @@ other.  Every sum-law operation takes one of three routes, chosen by
   terms);
 * ``phase-type``: distinct cluster rates closer than ``SWITCH_THRESHOLD``
   (relative) are evaluated through the matrix exponential of the bidiagonal
-  sub-generator, which does not depend on the rate gaps.
+  sub-generator, which does not depend on the rate gaps.  ``expm`` here is
+  the entrywise-accurate exponential of a Metzler matrix (Xue & Ye, Math.
+  Comp. 2013), built from sums and products of non-negative numbers, so
+  scipy.linalg is not imported; the route's quantiles take safeguarded
+  Newton steps, one expm each.
 
 The rule ignores the number of rates, so the handoff is not continuous:
 at N=6 and gap 1.1e-3, just above the threshold, the closed form is off by
@@ -33,7 +37,6 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy.linalg import expm
 
 from .core import (
     RatesLike,
@@ -41,7 +44,7 @@ from .core import (
     _check_points,
     _check_rate,
     _clamp_unit,
-    _solve_quantile,
+    _newton_quantile,
     as_rate_vector,
     mixture_cdf,
     mixture_cdf_grid,
@@ -188,6 +191,47 @@ def conv_mixture(rates: RatesLike) -> SignedExponentialMixture:
 # phase-type form
 
 
+def expm(a: np.ndarray) -> np.ndarray:
+    """exp(a) for a Metzler matrix (off-diagonal entries >= 0), accurate entry by entry.
+
+    The scheme of Xue & Ye (Math. Comp. 2013): shift to the non-negative
+    b = a + shift I with shift = max(-diag a), scale by 2^-s so that
+    ||b||_inf 2^-s < 1/2, sum at least n + 17 terms of the Taylor series of
+    exp(b 2^-s) (Paterson-Stockmeyer: about 2 sqrt(n + 17) matrix products),
+    multiply by exp(-shift 2^-s) and square s times.  Every step adds and
+    multiplies non-negative numbers, so no entry cancels: each is accurate to
+    a few eps relative, times the 2^s that the conditioning of exp(-shift)
+    itself imposes.  A Pade approximant is accurate only relative to the norm
+    of the whole matrix.  The (i, j) entry first appears at power j - i <= n - 1,
+    so a rule that stopped on small terms could end before it appears; for a
+    bidiagonal b the 17 or more terms past that power leave a truncation
+    below 2^-18 / 18! of the entry.
+    """
+    n = a.shape[0]
+    b = np.array(a, dtype=np.float64)
+    diagonal = b.reshape(-1)[:: n + 1]
+    shift = -float(diagonal.min())
+    diagonal += shift
+    s = max(math.frexp(2.0 * float(b.sum(axis=1).max()))[1], 0)
+    terms = n + 17
+    p = math.isqrt(terms - 1) + 1  # powers b^0..b^p, then Horner in b^p over q blocks
+    q = -(-terms // p)
+    powers = np.empty((p + 1, n, n))
+    powers[0] = np.eye(n)
+    powers[1] = b * 2.0**-s
+    for j in range(2, p + 1):
+        np.matmul(powers[j - 1], powers[1], out=powers[j])
+    inverse_factorials = np.concatenate(([1.0], 1.0 / np.cumprod(np.arange(1.0, p * q))))
+    blocks = (inverse_factorials.reshape(q, p) @ powers[:p].reshape(p, n * n)).reshape(q, n, n)
+    e = blocks[q - 1]
+    for i in range(q - 2, -1, -1):
+        e = e @ powers[p] + blocks[i]
+    e *= math.exp(-shift * 2.0**-s)
+    for _ in range(s):
+        e = e @ e
+    return e
+
+
 @dataclass(frozen=True, eq=False)
 class PhaseTypeForm:
     """Sum of exponentials in series as an absorbing-chain representation.
@@ -195,8 +239,10 @@ class PhaseTypeForm:
     initial puts mass 1 on the first state, the sub-generator is upper
     bidiagonal with diagonal -lambda_n and super-diagonal lambda_n, and the
     exit vector carries lambda_N in the last entry.  Density and cdf come
-    from the matrix exponential of the sub-generator, which is accurate
-    regardless of how close the rates are.
+    from expm, the entrywise-accurate exponential of the sub-generator, which
+    is accurate regardless of how close the rates are.  The sub-generator
+    must be Metzler (off-diagonal entries >= 0) with a non-negative exit
+    vector, which expm relies on; anything else raises DomainError.
     """
 
     initial: np.ndarray
@@ -210,8 +256,12 @@ class PhaseTypeForm:
         n = a.size
         if s.shape != (n, n) or e.shape != (n,):
             raise DomainError("phase-type dimensions are inconsistent")
+        if not (np.all(np.isfinite(s)) and np.all(np.isfinite(e))):
+            raise DomainError("sub-generator and exit entries must be finite")
         if np.any(np.diag(s) >= 0.0):
             raise DomainError("sub-generator diagonal must be strictly negative")
+        if np.any(s - np.diag(np.diag(s)) < 0.0) or np.any(e < 0.0):
+            raise DomainError("sub-generator off-diagonal and exit entries must be non-negative")
         scale = np.max(np.abs(np.diag(s)))
         row_residual = np.abs(s.sum(axis=1) + e)
         if np.any(row_residual > 1e-12 * scale):
@@ -253,22 +303,30 @@ class PhaseTypeForm:
 PhaseLike = Union[PhaseTypeForm, RatesLike]
 
 
+def _phase_value(phase: PhaseTypeForm, state: np.ndarray, vec: np.ndarray, z, quantity: str) -> float:
+    """pdf (state . exit, at least 0) or cdf (1 - state . 1, clamped into [0, 1]) from state = initial . expm(S z)."""
+    v = float(state @ vec)
+    if not math.isfinite(v):
+        raise NumericalError(f"matrix exponential produced {v!r} at z={float(z)!r} (n={phase.initial.size})")
+    return max(v, 0.0) if quantity == "pdf" else _clamp_unit(1.0 - v, "phase-type cdf")
+
+
 def _phase_eval(phase: PhaseTypeForm, zz: float | np.ndarray, quantity: str) -> float | np.ndarray:
     """pdf or cdf of a phase-type law at checked points (a float or an array).
 
     The density is initial . expm(S z) . exit and the cdf one minus
-    initial . expm(S z) . 1.  One pass over the points in sorted order
-    carries the row vector state = initial . expm(S z) from each point to the
-    next by the semigroup step state . expm(S gap), so a grid costs one
-    matrix exponential per distinct gap (about 10-20 for a linspace grid)
-    rather than one per point; a scalar is one expm(S z).  S is Metzler (its
-    off-diagonal entries are non-negative), so every step matrix and state
-    entry is non-negative and the products do not cancel.  Only a gap that
-    recurs keeps its step matrix: memory is O(N^2 + points) plus at most one
-    N x N matrix per distinct recurring gap.
+    initial . expm(S z) . 1, with expm the entrywise-accurate Metzler
+    exponential.  One pass over the points in sorted order carries the row
+    vector state = initial . expm(S z) from each point to the next by the
+    semigroup step state . expm(S gap), so a grid costs one matrix
+    exponential per distinct gap (about 10-20 for a linspace grid) rather
+    than one per point; a scalar is one expm(S z).  S is Metzler, so every
+    step matrix and state entry is non-negative and the products do not
+    cancel.  Only a gap that recurs keeps its step matrix: memory is
+    O(N^2 + points) plus at most one N x N matrix per distinct recurring gap.
     """
     vec = phase.exit_vector if quantity == "pdf" else np.ones(phase.initial.size)
-    if isinstance(zz, float):  # the quantile solver's case: numpy's sort costs about one expm per call
+    if isinstance(zz, float):  # numpy's sort costs about one expm per call
         points, order, gaps = [zz], [0], [zz]
     else:
         points = np.ravel(zz)
@@ -286,21 +344,26 @@ def _phase_eval(phase: PhaseTypeForm, zz: float | np.ndarray, quantity: str) -> 
                 if gap in steps:
                     steps[gap] = step
             state = state @ step
-        v = float(state @ vec)
-        if not math.isfinite(v):
-            raise NumericalError(f"matrix exponential produced {v!r} at z={float(points[i])!r} (n={phase.initial.size})")
-        values[i] = max(v, 0.0) if quantity == "pdf" else _clamp_unit(1.0 - v, "phase-type cdf")
+        values[i] = _phase_value(phase, state, vec, points[i], quantity)
     return float(values[0]) if isinstance(zz, float) else values
 
 
+def _phase_cdf_pdf(phase: PhaseTypeForm, t: float) -> tuple[float, float]:
+    """(cdf, pdf) at one point t >= 0 from one matrix exponential, the Newton step's inputs."""
+    state = phase.initial @ expm(phase.sub_generator * t) if t else phase.initial
+    cdf = _phase_value(phase, state, np.ones(phase.initial.size), t, "cdf")
+    return cdf, _phase_value(phase, state, phase.exit_vector, t, "pdf")
+
+
 def conv_pdf_phase_type(ph: PhaseLike, z: float | np.ndarray) -> float | np.ndarray:
-    """Density via initial . expm(sub_generator z) . exit (scaling and squaring).
+    """Density via initial . expm(sub_generator z) . exit, expm being the Metzler exponential.
 
     ``z`` is a scalar (float result, one matrix exponential) or an array
     (one matrix exponential per distinct gap between sorted points, see
-    _phase_eval).  Serves as the gap-independent evaluation path; agrees
-    with the closed form to ~1e-12 relative wherever both are well
-    conditioned.
+    _phase_eval).  Serves as the gap-independent evaluation path: every entry
+    of the exponential is accurate to a few eps relative, so the density
+    keeps its relative accuracy into both tails, and it agrees with the
+    closed form to ~1e-12 relative wherever that is well conditioned.
     """
     phase = ph if isinstance(ph, PhaseTypeForm) else PhaseTypeForm.from_rates(ph)
     return _phase_eval(phase, _check_points(z), "pdf")
@@ -349,13 +412,21 @@ def conv_cdf(rates: RatesLike, z: float | np.ndarray) -> float | np.ndarray:
 
 
 def conv_quantile(rates: RatesLike, p: float) -> float:
-    """Inverse cdf of the sum; cdf residual at most 1e-10."""
+    """Inverse cdf of the sum; cdf residual at most 1e-10.
+
+    The route decides the solver.  The mixture routes solve cdf(t) = p by
+    Brent's method (mixture_quantile).  The phase-type route takes Newton
+    steps safeguarded by bisection from the mean: one matrix exponential
+    state = initial . expm(S t) gives both the cdf 1 - state . 1 and the pdf
+    state . exit, so each step costs one expm (about 7 per quantile on
+    average).
+    """
     rv = as_rate_vector(rates)
     route, form = sum_route(rv)
     if route != "phase-type":
         return mixture_quantile(form, p)
     mean, var = conv_moments(rv)
-    return _solve_quantile(lambda t: _phase_eval(form, t, "cdf"), p, mean, var)
+    return _newton_quantile(lambda t: _phase_cdf_pdf(form, t), p, mean, var)
 
 
 def conv_moments(rates: RatesLike) -> tuple[float, float]:

@@ -19,6 +19,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence, Union
 
 import numpy as np
@@ -302,6 +303,25 @@ class SignedExponentialMixture:
             body = f"<{self.n_terms} terms>"
         return f"SignedExponentialMixture([{body}], is_density={self.is_density})"
 
+    @cached_property
+    def _cdf_kernel(self) -> tuple[np.ndarray, ...]:
+        """Per-term constants of the termwise cdf, formed once per mixture.
+
+        (a, -rate) of the degree-0 terms, whose antiderivative is
+        a * expm1(-rate z) with a = -(c / rate); (b, k + 1, rate) of the
+        Erlang terms, b * gammainc(k + 1, rate z) with b = c k! / rate^(k+1);
+        and the bound terms * max(|a|, |b|) on every partial sum at z >= 0.
+        a and b are the left-to-right prefixes of each term's product, so a
+        term rounds exactly as the whole product evaluated in one expression.
+        """
+        flat = self.degrees == 0
+        c, lam, k = self.coefficients, self.rates, self.degrees
+        a = -(c[flat] / lam[flat])
+        k, lam_k = k[~flat], lam[~flat]
+        b = c[~flat] * factorial(k) / lam_k ** (k + 1)
+        bound = self.n_terms * float(max(np.abs(a).max(initial=0.0), np.abs(b).max(initial=0.0)))
+        return a, -lam[flat], b, k + 1, lam_k, bound
+
     def scaled(self, factor: float) -> "SignedExponentialMixture":
         """Mixture with all coefficients multiplied by ``factor`` (drops density flag)."""
         return SignedExponentialMixture(
@@ -370,21 +390,28 @@ def mixture_integral(m: SignedExponentialMixture) -> float:
 
 
 def _cdf_raw(m: SignedExponentialMixture, z: float) -> float:
-    # termwise antiderivative: degree 0 exactly via expm1, degree >= 1 via the
-    # regularized lower incomplete gamma
+    """Termwise antiderivative at a scalar z, summed with math.fsum.
+
+    Degree-0 terms go exactly through expm1, Erlang terms through the
+    regularized lower incomplete gamma, both from the mixture's precomputed
+    _cdf_kernel.  fsum rounds correctly in any order unless a partial sum
+    overflows.  At z >= 0 every term is at most |a| or |b|, so below the
+    kernel's bound no partial sum can overflow and the terms are summed as
+    they come.  Anywhere else (negative bracket points, where terms reach
+    +-inf, or coefficients near the double range) the terms are summed in
+    descending magnitude, the order that decides which sums overflow and
+    so whether fsum raises OverflowError.
+    """
+    a, nl, b, k1, lam, bound = m._cdf_kernel
+    flat = a * np.expm1(nl * z) if a.size else a
+    erlang = b * gammainc(k1, lam * z) if b.size else b
+    if z >= 0.0 and bound < 1e300:
+        return math.fsum(flat.tolist() + erlang.tolist())
     vals = np.empty(m.n_terms)
-    flat = m.degrees == 0
-    if np.any(flat):
-        c = m.coefficients[flat]
-        lam = m.rates[flat]
-        vals[flat] = -(c / lam) * np.expm1(-lam * z)
-    if not np.all(flat):
-        c = m.coefficients[~flat]
-        lam = m.rates[~flat]
-        k = m.degrees[~flat]
-        vals[~flat] = c * factorial(k) / lam ** (k + 1) * gammainc(k + 1, lam * z)
-    vals = vals[np.argsort(np.abs(vals))[::-1]]
-    return math.fsum(vals)
+    degree0 = m.degrees == 0
+    vals[degree0] = flat
+    vals[~degree0] = erlang
+    return math.fsum(vals[np.argsort(np.abs(vals))[::-1]])
 
 
 def _clamp_unit(value: float, where: str) -> float:
@@ -495,28 +522,69 @@ def _brentq(f, xa: float, xb: float, xtol: float, rtol: float, maxiter: int) -> 
     raise RuntimeError(f"Failed to converge after {maxiter} iterations, value is {xcur:f}")
 
 
-def _solve_quantile(cdf, p: float, mean: float, var: float) -> float:
-    """Root of cdf(t) = p for a distribution with the given mean and variance.
+def _quantile_bracket(cdf, p: float, mean: float, var: float) -> float:
+    """Top of the bracket [0, top] of cdf(t) = p: mean + 40 sigma, times 1.5 until cdf(top) >= p.
 
-    Brackets the root on [0, mean + 40 sigma] (expanding in the extreme upper
-    tail) and solves with _brentq, a port of scipy's Brent solver that keeps
-    scipy.optimize off the import path; raises NumericalError unless the cdf
-    residual at the root is at most 1e-10.
+    Raises DomainError unless 0 < p < 1.
     """
     if not (0.0 < p < 1.0):
         raise DomainError(f"quantile level must lie strictly in (0,1), got {p!r}")
     hi = mean + QUANTILE_BRACKET_SIGMAS * math.sqrt(var)
     for _ in range(200):
         if cdf(hi) >= p:
-            break
+            return hi
         hi *= 1.5
-    else:  # pragma: no cover - unreachable for genuine densities
-        raise NumericalError(f"failed to bracket quantile level {p}")
-    root = _brentq(lambda t: cdf(t) - p, 0.0, hi, xtol=1e-13, rtol=4 * np.finfo(float).eps, maxiter=200)
-    residual = abs(cdf(root) - p)
+    raise NumericalError(f"failed to bracket quantile level {p}")  # pragma: no cover - unreachable for densities
+
+
+def _checked_root(root: float, cdf_at_root: float, p: float) -> float:
+    residual = abs(cdf_at_root - p)
     if residual > 1e-10:
         raise NumericalError(f"quantile residual {residual:.3e} exceeds 1e-10 at p={p}")
     return float(root)
+
+
+def _solve_quantile(cdf, p: float, mean: float, var: float) -> float:
+    """Root of cdf(t) = p for a distribution with the given mean and variance.
+
+    Solves on the _quantile_bracket with _brentq, a port of scipy's Brent
+    solver that keeps scipy.optimize off the import path; raises
+    NumericalError unless the cdf residual at the root is at most 1e-10.
+    """
+    hi = _quantile_bracket(cdf, p, mean, var)
+    root = _brentq(lambda t: cdf(t) - p, 0.0, hi, xtol=1e-13, rtol=4 * np.finfo(float).eps, maxiter=200)
+    return _checked_root(root, cdf(root), p)
+
+
+def _newton_quantile(cdf_pdf, p: float, mean: float, var: float) -> float:
+    """Root of cdf(t) = p by Newton steps safeguarded by bisection.
+
+    ``cdf_pdf(t)`` returns (cdf, pdf) from one evaluation.  The iteration
+    starts at the mean inside the _quantile_bracket.  Each evaluated point
+    tightens the bracket, and a Newton step that would leave it is replaced
+    by bisection.  The iteration stops when the Newton step or the bracket
+    is at most 1e-13 + 4 eps t and returns the last evaluated point, whose
+    cdf gives the residual check (NumericalError above 1e-10) without a
+    further evaluation.
+    """
+    lo, hi = 0.0, _quantile_bracket(lambda t: cdf_pdf(t)[0], p, mean, var)
+    t = mean
+    for _ in range(200):
+        cdf, pdf = cdf_pdf(t)
+        if cdf < p:
+            lo = t
+        elif cdf > p:
+            hi = t
+        else:
+            break
+        step = (cdf - p) / pdf if pdf > 0.0 else math.inf
+        xtol = 1e-13 + 4 * math.ulp(1.0) * t
+        if abs(step) <= xtol or hi - lo <= xtol:
+            break
+        t = t - step if lo < t - step < hi else 0.5 * (lo + hi)
+    else:
+        raise NumericalError(f"quantile iteration at p={p} did not converge in 200 steps")
+    return _checked_root(t, cdf, p)
 
 
 def mixture_quantile(m: SignedExponentialMixture, p: float) -> float:

@@ -385,14 +385,15 @@ def test_process_exit_code_for_usage_error():
 
 
 def test_scipy_optimize_and_interpolate_stay_off_the_import_path():
-    # scipy.optimize and scipy.interpolate keep about 19 MB resident; only `check` may load them
+    # scipy.optimize and scipy.interpolate keep about 19 MB resident, scipy.linalg about 7 MB;
+    # only `check` may load them.  A phase-route quantile and curve run the Metzler expm.
     script = (
         "import sys\n"
         "import expstat, expstat.cli\n"
         "expstat.conv_quantile((1.0, 2.0, 3.0), 0.5)\n"
         "expstat.conv_quantile((1.0, 1.0005, 2.0), 0.5)\n"
         "expstat.cli.main(['curve', '--stat', 'sum', '--rates', '1,1.0005,2', '--points', '11'])\n"
-        "loaded = [m for m in sys.modules if m.startswith(('scipy.optimize', 'scipy.interpolate'))]\n"
+        "loaded = [m for m in sys.modules if m.startswith(('scipy.optimize', 'scipy.interpolate', 'scipy.linalg'))]\n"
         "print('loaded:', *loaded)\n"
     )
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")

@@ -1,8 +1,10 @@
 """Sum-of-exponentials laws: coefficients, densities, transforms, limits."""
 
 import math
+import statistics
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from conftest import gamma_limit_error, quantile_grid, random_rate_sets, separat
 from expstat import (
     DegenerateRatesError,
     DomainError,
+    NumericalError,
     PhaseTypeForm,
     RateVector,
     char_fn_linear_combination,
@@ -218,6 +221,108 @@ def test_phase_type_rejects_inconsistent_matrix():
             sub_generator=np.array([[-1.0, 2.0], [0.0, -2.0]]),
             exit_vector=np.array([0.0, 2.0]),
         )
+
+
+@pytest.mark.parametrize(
+    "sub, exit_vector, message",
+    [
+        ([[-1.0, 1.5], [-0.5, -2.0]], [-0.5, 2.5], "non-negative"),  # negative off-diagonal entry
+        ([[-1.0, 1.5], [0.0, -2.0]], [-0.5, 2.0], "non-negative"),  # negative exit entry
+        ([[-1.0, math.nan], [0.0, -2.0]], [math.nan, 2.0], "finite"),  # NaN passes every sign test
+    ],
+)
+def test_phase_type_rejects_non_metzler_sub_generator(sub, exit_vector, message):
+    # rows sum to zero, so only the preconditions of expm catch these
+    with pytest.raises(DomainError, match=message):
+        PhaseTypeForm(initial=np.array([1.0, 0.0]), sub_generator=np.array(sub), exit_vector=np.array(exit_vector))
+
+
+def _bidiagonal_generator(n: int, g: float) -> tuple[np.ndarray, float, float]:
+    rates = tuple((1.0 + g) ** i for i in range(n))
+    mean, var = conv_moments(rates)
+    return PhaseTypeForm.from_rates(rates).sub_generator, mean, math.sqrt(var)
+
+
+def _assert_entrywise_close(got: np.ndarray, a: np.ndarray, rel: float) -> None:
+    with mpmath.workdps(50):
+        ref = mpmath.expm(mpmath.matrix(a.tolist()))
+        for i in range(a.shape[0]):
+            for j in range(a.shape[1]):
+                if ref[i, j] == 0:
+                    assert got[i, j] == 0.0, (i, j)
+                else:
+                    assert abs((mpmath.mpf(got[i, j]) - ref[i, j]) / ref[i, j]) <= rel, (i, j, got[i, j])
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_metzler_expm_matches_mpmath_entry_by_entry(n):
+    # the tiny (0, n-1) entries at 0.01 mean are where a Pade expm loses all digits
+    for g in (1e-6, 1e-4, 1e-2, 0.2):
+        sub, mean, sd = _bidiagonal_generator(n, g)
+        for z in (0.01 * mean, mean, mean + 10.0 * sd):
+            _assert_entrywise_close(convolution.expm(sub * z), sub * z, 1e-12)
+
+
+def test_metzler_expm_matches_mpmath_on_a_dense_matrix():
+    rng = np.random.default_rng(3)
+    a = rng.uniform(0.0, 1.0, (7, 7))
+    np.fill_diagonal(a, 0.0)
+    np.fill_diagonal(a, -a.sum(axis=1) - rng.uniform(0.0, 1.0, 7))
+    for scale in (0.1, 1.0, 10.0):
+        _assert_entrywise_close(convolution.expm(a * scale), a * scale, 1e-12)
+
+
+def _mp_sum_cdf(rates, z) -> float:
+    # closed form at 100 digits: the coefficients of N=12, g=1e-4 reach ~1e36
+    with mpmath.workdps(100):
+        lam = [mpmath.mpf(r) for r in rates]
+        total = mpmath.mpf(0)
+        for n, ln in enumerate(lam):
+            coeff = mpmath.mpf(1)
+            for j, lj in enumerate(lam):
+                if j != n:
+                    coeff *= lj / (lj - ln)
+            total += coeff * mpmath.exp(-ln * mpmath.mpf(z))
+        return float(1 - total)
+
+
+PHASE_CHAINS = [tuple((1.0 + g) ** i for i in range(n)) for g in (1e-4, 5e-4) for n in range(3, 13)]
+
+
+def test_phase_route_quantiles_hold_a_1e12_residual_against_mpmath():
+    for rates in PHASE_CHAINS:
+        assert sum_route(rates)[0] == "phase-type"
+        for p in (1e-3, 0.05, 0.5, 0.95, 1.0 - 1e-4, 1.0 - 1e-6):
+            q = conv_quantile(rates, p)
+            assert abs(_mp_sum_cdf(rates, q) - p) <= 1e-12, (rates, p, q)
+
+
+def test_phase_route_quantile_takes_few_matrix_exponentials(monkeypatch):
+    # one expm tests the bracket top, then each Newton or bisection step costs one
+    calls = []
+    expm = convolution.expm
+    monkeypatch.setattr(convolution, "expm", lambda a: calls.append(1) or expm(a))
+    counts = []
+    for rates in PHASE_CHAINS:
+        for k in range(1, 20):
+            calls.clear()
+            conv_quantile(rates, 0.05 * k)
+            counts.append(len(calls))
+    assert statistics.mean(counts) <= 8
+    assert max(counts) <= 12
+
+
+def test_phase_route_quantile_still_checks_its_residual(monkeypatch):
+    # a cdf that jumps by 1e-9 across every level leaves no point within 1e-10
+    phase_cdf_pdf = convolution._phase_cdf_pdf
+
+    def jumping(phase, t):
+        cdf, pdf = phase_cdf_pdf(phase, t)
+        return cdf + (5e-10 if cdf >= 0.3 else -5e-10), pdf
+
+    monkeypatch.setattr(convolution, "_phase_cdf_pdf", jumping)
+    with pytest.raises(NumericalError, match="quantile residual"):
+        conv_quantile((1.0, 1.0005, 2.0), 0.3)
 
 
 def test_phase_pdf_matches_closed_form_distinct():

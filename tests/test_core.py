@@ -358,6 +358,70 @@ def test_mixture_quantile_rejects_bad_probability():
             mixture_quantile(mix, p)
 
 
+def _reference_cdf_raw(m, z):
+    """The termwise cdf as it was before the per-mixture kernel, kept as the reference."""
+    from scipy.special import factorial, gammainc
+
+    vals = np.empty(m.n_terms)
+    flat = m.degrees == 0
+    if np.any(flat):
+        c = m.coefficients[flat]
+        lam = m.rates[flat]
+        vals[flat] = -(c / lam) * np.expm1(-lam * z)
+    if not np.all(flat):
+        c = m.coefficients[~flat]
+        lam = m.rates[~flat]
+        k = m.degrees[~flat]
+        vals[~flat] = c * factorial(k) / lam ** (k + 1) * gammainc(k + 1, lam * z)
+    vals = vals[np.argsort(np.abs(vals))[::-1]]
+    return math.fsum(vals)
+
+
+def _cdf_outcome(cdf, m, z):
+    """The value's bits, or the exception's type and message, of one cdf call."""
+    try:
+        with np.errstate(all="ignore"):
+            return float(cdf(m, z)).hex()
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_cdf_kernel_is_bit_identical_to_the_reference():
+    mixtures = [
+        conv_mixture(rates)
+        for rates in (
+            (1.0, 2.0, 3.0),
+            (0.3, 0.7, 1.9, 4.4, 8.0),
+            (1.0, 1.0, 4.0),
+            (2.0, 2.0, 2.0, 5.0, 5.0),
+            (0.5,) * 6,
+            tuple((1.0 + 1.1e-3) ** i for i in range(8)),  # near-equal closed form, coefficients ~1e17
+            tuple((1.0 + 1e-2) ** i for i in range(10)),
+            (0.7, 0.7, 0.7 * 1.002, 0.7 * 1.002**2, 3.0),
+        )
+    ]
+    mixtures.append(max_mixture((0.4, 1.3, 2.2, 5.0)))
+    # coefficients near the double range: the kernel falls back to the sorted sum
+    mixtures.append(SignedExponentialMixture.from_terms([(1e305, 1.0, 0), (-1e305, 1.5, 0), (3e304, 2.0, 1)]))
+    mixtures.append(SignedExponentialMixture.from_terms([(1.7e308, 0.5, 0), (-1.0, 2.0, 0), (2.0, 1.0, 2)]))
+    mixtures.append(SignedExponentialMixture.from_terms([(-1.2e308, 1.0, 0), (-1.7e308, 1.5, 0)]))  # terms sum past the double range
+    # in rate order the first two terms overflow, in descending magnitude they do not
+    mixtures.append(SignedExponentialMixture.from_terms([(5e307, 0.5, 0), (6e307, 0.6, 0), (-1.5e308, 1.0, 0)]))
+    # the same at a negative point, with ordinary coefficients
+    mixtures.append(SignedExponentialMixture.from_terms([(-1.0, 1.0, 0), (-1.0, 1.0000001, 0), (1.5, 1.0000002, 0)]))
+    zs = (0.0, 1e-300, 1e-12, 0.01, 0.5, 1.0, 3.0, 10.0, 50.0, 700.0, 1e4, 1e300)
+    # negative points are where a cancelled-moment bracket sends the quantile solver
+    zs += (-1e-3, -0.5, -5.0, -50.0, -200.0, -236.0, -300.0, -709.1, -1e3, -1e300)
+    outcomes = []
+    for m in mixtures:
+        for z in zs:
+            expected = _cdf_outcome(_reference_cdf_raw, m, z)
+            assert _cdf_outcome(core._cdf_raw, m, z) == expected, (m, z)
+            outcomes.append(expected)
+    kinds = {o[0] if isinstance(o, tuple) else "value" for o in outcomes}
+    assert {"value", "ValueError", "OverflowError"} <= kinds, kinds
+
+
 def _solver_outcome(solve, f, a, b, maxiter=200):
     """The root's bits, or the exception type, of one solver call."""
     try:

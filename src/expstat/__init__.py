@@ -10,24 +10,15 @@ samplers with goodness-of-fit oracles, and ships a small CLI
 """
 
 from .core import (
-    DEFAULT_CLUSTER_TOLERANCE,
-    ExponentialLaw,
-    MixtureTerm,
     RateVector,
     SignedExponentialMixture,
-    as_rate_vector,
     mixture_cdf,
-    mixture_cdf_grid,
     mixture_eval,
-    mixture_eval_grid,
     mixture_integral,
     mixture_moment,
     mixture_quantile,
-    mixture_sum,
 )
 from .convolution import (
-    ConvolutionCoefficients,
-    PhaseTypeForm,
     char_fn_linear_combination,
     char_fn_product,
     conv_cdf,
@@ -37,7 +28,6 @@ from .convolution import (
     conv_pdf,
     conv_pdf_phase_type,
     conv_quantile,
-    ordering_probability,
     partial_fraction_identity_check,
     sum_route,
 )
@@ -55,7 +45,6 @@ from .montecarlo import (
     SampleBatch,
     factorization_test,
     ks_test,
-    make_stream,
     sample_max,
     sample_min,
     sample_min_range_pairs,
@@ -63,7 +52,6 @@ from .montecarlo import (
     sample_sum,
 )
 from .orderstats import (
-    SUBSET_LIMIT,
     OrderStatisticRequest,
     max2_via_convolution,
     max_cdf,
@@ -82,23 +70,16 @@ __version__ = "0.1.0"
 __all__ = [
     "CapacityError",
     "ContractError",
-    "ConvolutionCoefficients",
-    "DEFAULT_CLUSTER_TOLERANCE",
     "DegenerateRatesError",
     "DomainError",
-    "ExponentialLaw",
     "ExpstatError",
     "FactorizationReport",
     "GoodnessOfFitReport",
-    "MixtureTerm",
     "NumericalError",
     "OrderStatisticRequest",
-    "PhaseTypeForm",
     "RateVector",
-    "SUBSET_LIMIT",
     "SampleBatch",
     "SignedExponentialMixture",
-    "as_rate_vector",
     "char_fn_linear_combination",
     "char_fn_product",
     "conv_cdf",
@@ -110,7 +91,6 @@ __all__ = [
     "conv_quantile",
     "factorization_test",
     "ks_test",
-    "make_stream",
     "max2_via_convolution",
     "max_cdf",
     "max_mixture",
@@ -118,16 +98,12 @@ __all__ = [
     "min_cdf",
     "min_law",
     "mixture_cdf",
-    "mixture_cdf_grid",
     "mixture_eval",
-    "mixture_eval_grid",
     "mixture_integral",
     "mixture_moment",
     "mixture_quantile",
-    "mixture_sum",
     "order_statistic_cdf",
     "order_statistic_pdf",
-    "ordering_probability",
     "partial_fraction_identity_check",
     "range2_mixture",
     "sample_max",

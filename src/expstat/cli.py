@@ -38,6 +38,7 @@ from .convolution import (
     sum_route,
 )
 from .core import (
+    CLUSTER_TOLERANCE,
     RatesLike,
     RateVector,
     as_rate_vector,
@@ -183,7 +184,7 @@ def _check_identities(rv: RateVector, results: list) -> None:
         residual = abs(math.fsum(a * lam**k))
         worst = max(worst, residual / (tol * np.max(lam) ** k))
     probe = 0.5 * min(rv.rates)
-    while any(abs(r - probe) <= rv.cluster_tolerance * max(r, probe) for r in rv.rates):
+    while any(abs(r - probe) <= CLUSTER_TOLERANCE * max(r, probe) for r in rv.rates):
         probe *= 0.7
     worst = max(worst, partial_fraction_identity_check(rv, probe) / tol)
     results.append(("coefficient_identities", worst <= 1.0, f"worst residual ratio {worst:.3e}"))

@@ -14,12 +14,14 @@ other.  Every sum-law operation takes one of three routes, chosen by
   Erlang blocks from a confluent partial-fraction expansion (degree >= 1
   terms);
 * ``phase-type``: distinct cluster rates closer than ``SWITCH_THRESHOLD``
-  (relative) are evaluated through the matrix exponential of the bidiagonal
-  sub-generator, which does not depend on the rate gaps.  ``expm`` here is
-  the entrywise-accurate exponential of a Metzler matrix (Xue & Ye, Math.
-  Comp. 2013), built from sums and products of non-negative numbers, so
-  scipy.linalg is not imported; the route's quantiles take safeguarded
-  Newton steps, one expm each.
+  (relative) are evaluated as the absorption time of a chain of N stages
+  in series plus one absorbing state.  With E = expm(Q z) for its
+  (N+1) x (N+1) generator Q, the pdf is E[0, N-1] lambda_N and the cdf is
+  E[0, N].  ``expm`` here is the entrywise-accurate exponential of a
+  Metzler matrix (Xue & Ye, Math. Comp. 2013), built from sums and
+  products of non-negative numbers, so both tails keep their relative
+  accuracy whatever the gaps, and scipy.linalg is not imported; the
+  route's quantiles take safeguarded Newton steps, one expm each.
 
 The rule ignores the number of rates, so the handoff is not continuous:
 at N=6 and gap 1.1e-3, just above the threshold, the closed form is off by
@@ -39,7 +41,9 @@ from typing import Union
 import numpy as np
 
 from .core import (
+    CLUSTER_TOLERANCE,
     RatesLike,
+    RateVector,
     SignedExponentialMixture,
     _check_points,
     _check_rate,
@@ -47,9 +51,7 @@ from .core import (
     _newton_quantile,
     as_rate_vector,
     mixture_cdf,
-    mixture_cdf_grid,
     mixture_eval,
-    mixture_eval_grid,
     mixture_quantile,
 )
 from .errors import DegenerateRatesError, DomainError, NumericalError
@@ -188,7 +190,7 @@ def conv_mixture(rates: RatesLike) -> SignedExponentialMixture:
 
 
 # ---------------------------------------------------------------------------
-# phase-type form
+# phase-type route: the absorbing chain
 
 
 def expm(a: np.ndarray) -> np.ndarray:
@@ -232,100 +234,39 @@ def expm(a: np.ndarray) -> np.ndarray:
     return e
 
 
-@dataclass(frozen=True, eq=False)
-class PhaseTypeForm:
-    """Sum of exponentials in series as an absorbing-chain representation.
+def _absorbing_generator(rv: RateVector) -> np.ndarray:
+    """Generator Q of the sum as an absorption time: read-only, (N+1) x (N+1).
 
-    initial puts mass 1 on the first state, the sub-generator is upper
-    bidiagonal with diagonal -lambda_n and super-diagonal lambda_n, and the
-    exit vector carries lambda_N in the last entry.  Density and cdf come
-    from expm, the entrywise-accurate exponential of the sub-generator, which
-    is accurate regardless of how close the rates are.  The sub-generator
-    must be Metzler (off-diagonal entries >= 0) with a non-negative exit
-    vector, which expm relies on; anything else raises DomainError.
+    States 0..N-1 are the exponential stages in series, in input order, and
+    state N absorbs: row n < N holds -lambda_n on the diagonal and lambda_n
+    to its right, row N is zero.  Q is Metzler, so expm(Q z) is a matrix of
+    sums of non-negative terms, whatever the gaps between the rates.
     """
-
-    initial: np.ndarray
-    sub_generator: np.ndarray
-    exit_vector: np.ndarray
-
-    def __post_init__(self) -> None:
-        a = np.ascontiguousarray(self.initial, dtype=np.float64)
-        s = np.ascontiguousarray(self.sub_generator, dtype=np.float64)
-        e = np.ascontiguousarray(self.exit_vector, dtype=np.float64)
-        n = a.size
-        if s.shape != (n, n) or e.shape != (n,):
-            raise DomainError("phase-type dimensions are inconsistent")
-        if not (np.all(np.isfinite(s)) and np.all(np.isfinite(e))):
-            raise DomainError("sub-generator and exit entries must be finite")
-        if np.any(np.diag(s) >= 0.0):
-            raise DomainError("sub-generator diagonal must be strictly negative")
-        if np.any(s - np.diag(np.diag(s)) < 0.0) or np.any(e < 0.0):
-            raise DomainError("sub-generator off-diagonal and exit entries must be non-negative")
-        scale = np.max(np.abs(np.diag(s)))
-        row_residual = np.abs(s.sum(axis=1) + e)
-        if np.any(row_residual > 1e-12 * scale):
-            raise DomainError("rows of [sub-generator | exit] must sum to zero")
-        for arr in (a, s, e):
-            arr.setflags(write=False)
-        object.__setattr__(self, "initial", a)
-        object.__setattr__(self, "sub_generator", s)
-        object.__setattr__(self, "exit_vector", e)
-
-    @classmethod
-    def from_rates(cls, rates: RatesLike) -> "PhaseTypeForm":
-        """One state per rate, in series.
-
-        Rates are snapped to their cluster representative first: a nearly
-        defective sub-generator (diagonal entries a few ulp apart) costs the
-        matrix exponential roughly eps/gap digits, while an exactly repeated
-        diagonal is handled accurately.  The snap changes the represented
-        distribution by O(cluster_tolerance^2), far below evaluation error.
-        """
-        rv = as_rate_vector(rates)
-        n = rv.n
-        snapped = list(rv.rates)
-        for group, rep in zip(rv.clusters, rv.cluster_rates):
-            for i in group:
-                snapped[i] = rep
-        alpha = np.zeros(n)
-        alpha[0] = 1.0
-        sub = np.zeros((n, n))
-        for i, lam in enumerate(snapped):
-            sub[i, i] = -lam
-            if i + 1 < n:
-                sub[i, i + 1] = lam
-        exit_vec = np.zeros(n)
-        exit_vec[-1] = snapped[-1]
-        return cls(alpha, sub, exit_vec)
+    lam = np.array(rv.rates)
+    stages = np.arange(lam.size)
+    q = np.zeros((lam.size + 1, lam.size + 1))
+    q[stages, stages] = -lam
+    q[stages, stages + 1] = lam
+    q.setflags(write=False)
+    return q
 
 
-PhaseLike = Union[PhaseTypeForm, RatesLike]
+def _absorption(q: np.ndarray, zz: float | np.ndarray) -> tuple[float | np.ndarray, float | np.ndarray]:
+    """(cdf, pdf) of the absorption time of generator q at checked points (a float or an array).
 
-
-def _phase_value(phase: PhaseTypeForm, state: np.ndarray, vec: np.ndarray, z, quantity: str) -> float:
-    """pdf (state . exit, at least 0) or cdf (1 - state . 1, clamped into [0, 1]) from state = initial . expm(S z)."""
-    v = float(state @ vec)
-    if not math.isfinite(v):
-        raise NumericalError(f"matrix exponential produced {v!r} at z={float(z)!r} (n={phase.initial.size})")
-    return max(v, 0.0) if quantity == "pdf" else _clamp_unit(1.0 - v, "phase-type cdf")
-
-
-def _phase_eval(phase: PhaseTypeForm, zz: float | np.ndarray, quantity: str) -> float | np.ndarray:
-    """pdf or cdf of a phase-type law at checked points (a float or an array).
-
-    The density is initial . expm(S z) . exit and the cdf one minus
-    initial . expm(S z) . 1, with expm the entrywise-accurate Metzler
-    exponential.  One pass over the points in sorted order carries the row
-    vector state = initial . expm(S z) from each point to the next by the
-    semigroup step state . expm(S gap), so a grid costs one matrix
-    exponential per distinct gap (about 10-20 for a linspace grid) rather
-    than one per point; a scalar is one expm(S z).  S is Metzler, so every
-    step matrix and state entry is non-negative and the products do not
-    cancel.  Only a gap that recurs keeps its step matrix: memory is
-    O(N^2 + points) plus at most one N x N matrix per distinct recurring gap.
+    The chain starts in state 0, so its state at time z is row 0 of
+    E = expm(Q z): the pdf is E[0, N-1] lambda_N and the cdf is E[0, N],
+    clamped into [0, 1].  Both are entries of a Metzler exponential, so both
+    tails keep their relative accuracy; the cdf is not one minus the
+    survival.  One pass over the points in sorted order carries the state
+    from each point to the next by the semigroup step state . expm(Q gap),
+    so a grid costs one matrix exponential per distinct gap (about 10-20
+    for a linspace grid) rather than one per point; a scalar is one
+    expm(Q z).  Only a gap that recurs keeps its step matrix: memory is
+    O(N^2 + points) plus at most one (N+1) x (N+1) matrix per distinct
+    recurring gap.  A non-finite state raises NumericalError.
     """
-    vec = phase.exit_vector if quantity == "pdf" else np.ones(phase.initial.size)
+    n = q.shape[0] - 1
     if isinstance(zz, float):  # numpy's sort costs about one expm per call
         points, order, gaps = [zz], [0], [zz]
     else:
@@ -334,70 +275,69 @@ def _phase_eval(phase: PhaseTypeForm, zz: float | np.ndarray, quantity: str) -> 
         gaps = np.diff(points[order], prepend=0.0).tolist()
         order = order.tolist()
     steps = {gap: None for gap, count in Counter(gaps).items() if count > 1}
-    state = phase.initial
-    values = np.empty(len(points))
+    state = np.zeros(n + 1)
+    state[0] = 1.0
+    entries = np.empty((len(points), 2))  # E[0, N-1] and E[0, N] at each point
     for i, gap in zip(order, gaps):
         if gap:
             step = steps.get(gap)
             if step is None:
-                step = expm(phase.sub_generator * gap)
+                step = expm(q * gap)
                 if gap in steps:
                     steps[gap] = step
             state = state @ step
-        values[i] = _phase_value(phase, state, vec, points[i], quantity)
-    return float(values[0]) if isinstance(zz, float) else values
+        entries[i] = state[n - 1 :]
+    finite = np.isfinite(entries).all(axis=1)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise NumericalError(f"matrix exponential produced {entries[i].tolist()!r} at z={float(points[i])!r} (n={n})")
+    pdf = entries[:, 0] * q[n - 1, n]
+    cdf = entries[:, 1]
+    for i in np.flatnonzero((cdf < 0.0) | (cdf > 1.0)):
+        cdf[i] = _clamp_unit(float(cdf[i]), "phase-type cdf")
+    if isinstance(zz, float):
+        return float(cdf[0]), float(pdf[0])
+    return cdf, pdf
 
 
-def _phase_cdf_pdf(phase: PhaseTypeForm, t: float) -> tuple[float, float]:
-    """(cdf, pdf) at one point t >= 0 from one matrix exponential, the Newton step's inputs."""
-    state = phase.initial @ expm(phase.sub_generator * t) if t else phase.initial
-    cdf = _phase_value(phase, state, np.ones(phase.initial.size), t, "cdf")
-    return cdf, _phase_value(phase, state, phase.exit_vector, t, "pdf")
-
-
-def conv_pdf_phase_type(ph: PhaseLike, z: float | np.ndarray) -> float | np.ndarray:
-    """Density via initial . expm(sub_generator z) . exit, expm being the Metzler exponential.
+def conv_pdf_phase_type(rates: RatesLike, z: float | np.ndarray) -> float | np.ndarray:
+    """Density E[0, N-1] lambda_N of E = expm(Q z), Q the absorbing generator of the rates.
 
     ``z`` is a scalar (float result, one matrix exponential) or an array
     (one matrix exponential per distinct gap between sorted points, see
-    _phase_eval).  Serves as the gap-independent evaluation path: every entry
+    _absorption).  Serves as the gap-independent evaluation path: every entry
     of the exponential is accurate to a few eps relative, so the density
     keeps its relative accuracy into both tails, and it agrees with the
     closed form to ~1e-12 relative wherever that is well conditioned.
     """
-    phase = ph if isinstance(ph, PhaseTypeForm) else PhaseTypeForm.from_rates(ph)
-    return _phase_eval(phase, _check_points(z), "pdf")
+    q = _absorbing_generator(as_rate_vector(rates))
+    return _absorption(q, _check_points(z))[1]
 
 
 # ---------------------------------------------------------------------------
 # public sum-law operations
 
 
-def sum_route(rates: RatesLike) -> tuple[str, Union[SignedExponentialMixture, PhaseTypeForm]]:
+def sum_route(rates: RatesLike) -> tuple[str, Union[SignedExponentialMixture, np.ndarray]]:
     """The evaluation route of the sum law and the form it evaluates; the one place it is decided.
 
-    ("phase-type", PhaseTypeForm) when the smallest cross-cluster relative gap
-    is below SWITCH_THRESHOLD, else ("closed-form" or "erlang-block", mixture).
+    ("phase-type", Q) with Q the absorbing generator (_absorbing_generator)
+    when the smallest cross-cluster relative gap is below SWITCH_THRESHOLD,
+    else ("closed-form" or "erlang-block", mixture).
     """
     rv = as_rate_vector(rates)
     if rv.min_cross_cluster_gap < SWITCH_THRESHOLD:
-        return "phase-type", PhaseTypeForm.from_rates(rv)
+        return "phase-type", _absorbing_generator(rv)
     return ("closed-form" if rv.is_distinct else "erlang-block"), conv_mixture(rv)
 
 
 def conv_pdf(rates: RatesLike, z: float | np.ndarray) -> float | np.ndarray:
-    """Density of the sum at z >= 0 (a scalar or an array), on the sum_route route.
-
-    A scalar gives a float from the compensated mixture_eval; an array on a
-    mixture route goes through mixture_eval_grid.
-    """
+    """Density of the sum at z >= 0 (a scalar or an array), on the sum_route route."""
     zz = _check_points(z)
     route, form = sum_route(rates)
     if route == "phase-type":
-        return _phase_eval(form, zz, "pdf")
-    if isinstance(zz, float):
-        return mixture_eval(form, zz)
-    return mixture_eval_grid(form, zz)
+        return _absorption(form, zz)[1]
+    return mixture_eval(form, zz)
 
 
 def conv_cdf(rates: RatesLike, z: float | np.ndarray) -> float | np.ndarray:
@@ -405,10 +345,8 @@ def conv_cdf(rates: RatesLike, z: float | np.ndarray) -> float | np.ndarray:
     zz = _check_points(z)
     route, form = sum_route(rates)
     if route == "phase-type":
-        return _phase_eval(form, zz, "cdf")
-    if isinstance(zz, float):
-        return mixture_cdf(form, zz)
-    return mixture_cdf_grid(form, zz)
+        return _absorption(form, zz)[0]
+    return mixture_cdf(form, zz)
 
 
 def conv_quantile(rates: RatesLike, p: float) -> float:
@@ -417,16 +355,15 @@ def conv_quantile(rates: RatesLike, p: float) -> float:
     The route decides the solver.  The mixture routes solve cdf(t) = p by
     Brent's method (mixture_quantile).  The phase-type route takes Newton
     steps safeguarded by bisection from the mean: one matrix exponential
-    state = initial . expm(S t) gives both the cdf 1 - state . 1 and the pdf
-    state . exit, so each step costs one expm (about 7 per quantile on
-    average).
+    expm(Q t) gives both the cdf and the pdf (_absorption), so each step
+    costs one expm (about 7 per quantile on average).
     """
     rv = as_rate_vector(rates)
     route, form = sum_route(rv)
     if route != "phase-type":
         return mixture_quantile(form, p)
     mean, var = conv_moments(rv)
-    return _newton_quantile(lambda t: _phase_cdf_pdf(form, t), p, mean, var)
+    return _newton_quantile(lambda t: _absorption(form, t), p, mean, var)
 
 
 def conv_moments(rates: RatesLike) -> tuple[float, float]:
@@ -435,16 +372,6 @@ def conv_moments(rates: RatesLike) -> tuple[float, float]:
     mean = math.fsum(1.0 / r for r in rv.rates)
     var = math.fsum(1.0 / (r * r) for r in rv.rates)
     return mean, var
-
-
-def ordering_probability(rate_a: float, rate_b: float) -> float:
-    """P(X_b > X_a) for independent X_a ~ Exp(rate_a), X_b ~ Exp(rate_b).
-
-    The faster variable loses: the probability is rate_a / (rate_a + rate_b).
-    """
-    for r in (rate_a, rate_b):
-        _check_rate(r, "rates")
-    return rate_a / (rate_a + rate_b)
 
 
 # ---------------------------------------------------------------------------
@@ -495,7 +422,7 @@ def partial_fraction_identity_check(rates: RatesLike, probe_rate: float) -> floa
     rv = as_rate_vector(rates)
     _check_rate(probe_rate, "probe rate")
     for r in rv.rates:
-        if abs(r - probe_rate) <= rv.cluster_tolerance * max(r, probe_rate):
+        if abs(r - probe_rate) <= CLUSTER_TOLERANCE * max(r, probe_rate):
             raise DomainError(f"probe rate {probe_rate!r} collides with rate {r!r}")
     coeffs = conv_coefficients(rv)
     left = math.fsum(

@@ -32,7 +32,7 @@ logger = logging.getLogger(__name__)
 # Below this relative gap the coefficients lambda_j/(lambda_j - lambda_n)
 # exceed ~1e9 and double precision has lost all signal; merging to an exact
 # Erlang block is strictly more accurate than keeping the rates distinct.
-DEFAULT_CLUSTER_TOLERANCE = 1e-9
+CLUSTER_TOLERANCE = 1e-9
 
 # Relative tolerance for merging mixture terms with coinciding rates, e.g.
 # subset sums 1+2 and 3 that agree only up to the last ulp.
@@ -86,38 +86,32 @@ class RateVector:
 
     Clustering is canonical: indices are sorted by rate and greedily merged
     while the relative difference to the current cluster anchor stays within
-    ``cluster_tolerance``, so permuting the input produces identical clusters.
+    CLUSTER_TOLERANCE, so permuting the input produces identical clusters.
 
     Attributes:
         rates: the rates in input order, each finite and strictly positive.
-        cluster_tolerance: relative tolerance for grouping near-equal rates.
         clusters: partition of indices 0..N-1 into groups of near-equal rates,
             ordered by increasing rate.
     """
 
     rates: tuple[float, ...]
-    cluster_tolerance: float = DEFAULT_CLUSTER_TOLERANCE
     clusters: tuple[tuple[int, ...], ...] = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
         rates = tuple(_check_rate(float(r), "rates") for r in self.rates)
         if len(rates) == 0:
             raise DomainError("rate vector must be non-empty")
-        tol = float(self.cluster_tolerance)
-        if not (0.0 <= tol < 0.5):
-            raise DomainError(f"cluster_tolerance must lie in [0, 0.5), got {tol!r}")
         object.__setattr__(self, "rates", rates)
-        object.__setattr__(self, "cluster_tolerance", tol)
-        object.__setattr__(self, "clusters", self._cluster(rates, tol))
+        object.__setattr__(self, "clusters", self._cluster(rates))
 
     @staticmethod
-    def _cluster(rates: tuple[float, ...], tol: float) -> tuple[tuple[int, ...], ...]:
+    def _cluster(rates: tuple[float, ...]) -> tuple[tuple[int, ...], ...]:
         order = sorted(range(len(rates)), key=lambda i: (rates[i], i))
         groups: list[list[int]] = []
         anchor = -math.inf
         for idx in order:
             r = rates[idx]
-            if not groups or (r - anchor) > tol * r:
+            if not groups or (r - anchor) > CLUSTER_TOLERANCE * r:
                 groups.append([idx])
                 anchor = r
             else:
@@ -347,15 +341,18 @@ def _require_density(m: SignedExponentialMixture, op: str) -> None:
         raise ContractError(f"{op} requires a mixture flagged as a probability density")
 
 
-def mixture_eval(m: SignedExponentialMixture, z: float) -> float:
-    """Evaluate the mixture at a scalar z >= 0.
+def mixture_eval(m: SignedExponentialMixture, z: float | np.ndarray) -> float | np.ndarray:
+    """Evaluate the mixture at z >= 0, a scalar (float result) or an array.
 
-    Term values are accumulated in descending magnitude with compensated
-    summation, so alternating-sign cancellation costs no more than the
-    rounding already present in the individual terms.  A density mixture is
-    clamped at zero: a negative value there is rounding in the coefficients.
+    An array goes to mixture_eval_grid.  At a scalar, term values are
+    accumulated in descending magnitude with compensated summation, so
+    alternating-sign cancellation costs no more than the rounding already
+    present in the individual terms.  A density mixture is clamped at zero:
+    a negative value there is rounding in the coefficients.
     """
     z = _check_points(z)
+    if not isinstance(z, float):
+        return mixture_eval_grid(m, z)
     if m.n_terms == 0:
         return 0.0
     vals = m.coefficients * np.power(z, m.degrees) * np.exp(-m.rates * z)
@@ -368,7 +365,7 @@ def mixture_eval_grid(m: SignedExponentialMixture, z: np.ndarray) -> np.ndarray:
     """Vectorized evaluation over a grid of non-negative points.
 
     Uses numpy pairwise summation over terms; for severely ill-conditioned
-    mixtures prefer the scalar mixture_eval, which is fully compensated.
+    mixtures prefer scalar calls of mixture_eval, which are fully compensated.
     A density mixture is clamped at zero, as in mixture_eval.
     """
     zz = np.atleast_1d(_check_points(z))
@@ -430,14 +427,18 @@ def _clamp_unit(value: float, where: str) -> float:
     return value
 
 
-def mixture_cdf(m: SignedExponentialMixture, z: float) -> float:
-    """Distribution function of a density mixture at scalar z >= 0.
+def mixture_cdf(m: SignedExponentialMixture, z: float | np.ndarray) -> float | np.ndarray:
+    """Distribution function of a density mixture at z >= 0, a scalar or an array.
 
-    Returned values are clamped into [0, 1]; overshoot beyond 1e-12 is logged
-    as a warning rather than silently absorbed.
+    An array goes to mixture_cdf_grid.  A scalar value is clamped into
+    [0, 1]; overshoot beyond 1e-12 is logged as a warning rather than
+    silently absorbed.
     """
     _require_density(m, "mixture_cdf")
-    return _clamp_unit(_cdf_raw(m, _check_points(z)), "mixture_cdf")
+    z = _check_points(z)
+    if not isinstance(z, float):
+        return mixture_cdf_grid(m, z)
+    return _clamp_unit(_cdf_raw(m, z), "mixture_cdf")
 
 
 def mixture_cdf_grid(m: SignedExponentialMixture, z: np.ndarray) -> np.ndarray:

@@ -34,6 +34,9 @@ KS_CONSTANT_ALPHA_01 = 1.628
 # bound for the null at the grid resolutions used here.
 FACTORIZATION_BOUND_MULTIPLE = 3.0
 
+# The factorization statistic is taken on an m x m grid of the marginal quantiles i/(m+1).
+FACTORIZATION_GRID = 10
+
 
 def make_stream(seed: int, stream_id: int = 0) -> np.random.Generator:
     """Counter-based generator for (seed, stream_id); distinct ids are disjoint."""
@@ -176,7 +179,7 @@ def ks_test(batch: SampleBatch, cdf) -> GoodnessOfFitReport:
     return GoodnessOfFitReport(ks, n, critical, ks < critical)
 
 
-def factorization_test(pairs, grid_size: int = 10) -> FactorizationReport:
+def factorization_test(pairs) -> FactorizationReport:
     """Empirical independence check of paired samples.
 
     Compares the joint empirical cdf with the product of the marginal
@@ -189,9 +192,7 @@ def factorization_test(pairs, grid_size: int = 10) -> FactorizationReport:
     n = arr.shape[0]
     if n < 10_000:
         raise DomainError(f"factorization test needs at least 1e4 pairs, got {n}")
-    m = int(grid_size)
-    if m < 2:
-        raise DomainError(f"grid_size must be at least 2, got {grid_size}")
+    m = FACTORIZATION_GRID
     qs = np.arange(1, m + 1) / (m + 1)
     u_thr = np.quantile(arr[:, 0], qs)
     v_thr = np.quantile(arr[:, 1], qs)

@@ -40,6 +40,9 @@ from .errors import CapacityError, DomainError
 # scale, beyond that only the product forms and sampling remain available.
 SUBSET_LIMIT = 25
 
+# Step of the central finite difference behind the intermediate order densities.
+DIFFERENCE_STEP = 1e-5
+
 
 @dataclass(frozen=True)
 class OrderStatisticRequest:
@@ -155,8 +158,16 @@ def max2_via_convolution(rate_1: float, rate_2: float) -> SignedExponentialMixtu
     return mixture_sum(parts, is_density=True)
 
 
+def _check_scalar_point(z) -> float:
+    """A checked scalar point; DomainError for an array, which these kernels do not take."""
+    z = _check_points(z)
+    if not isinstance(z, float):
+        raise DomainError(f"order-statistic laws take one point at a time, got shape {z.shape}")
+    return z
+
+
 def order_statistic_cdf(req: OrderStatisticRequest, z: float) -> float:
-    """P(X_(r) <= z) as the Poisson-binomial tail P(at least r of {X_n <= z}).
+    """P(X_(r) <= z) as the Poisson-binomial tail P(at least r of {X_n <= z}) at a scalar z.
 
     Dynamic programming over the independent Bernoulli indicators, O(N^2)
     per point; reduces to min_cdf at r=1 and to max_cdf at r=N.  The DP runs
@@ -167,7 +178,7 @@ def order_statistic_cdf(req: OrderStatisticRequest, z: float) -> float:
     result is the same bit for bit as the all-entries recurrence.
     """
     rv = req.rates
-    z = _check_points(z)
+    z = _check_scalar_point(z)
     dp = [1.0] + [0.0] * rv.n
     for m, pn in enumerate((-np.expm1(-np.asarray(rv.rates) * z)).tolist(), start=1):
         qn = 1.0 - pn
@@ -177,21 +188,22 @@ def order_statistic_cdf(req: OrderStatisticRequest, z: float) -> float:
     return min(1.0, math.fsum(dp[req.r :]))
 
 
-def order_statistic_pdf(req: OrderStatisticRequest, z: float, h: float = 1e-5) -> float:
-    """Density of the r-th order statistic.
+def order_statistic_pdf(req: OrderStatisticRequest, z: float) -> float:
+    """Density of the r-th order statistic at a scalar z.
 
     Exact for r=1 (minimum) and r=N (maximum); intermediate orders use a
-    central finite difference of the dynamic-programming cdf with step h.
+    central finite difference of the dynamic-programming cdf with step
+    DIFFERENCE_STEP.
     """
     rv = req.rates
-    z = _check_points(z)
+    z = _check_scalar_point(z)
     if req.r == 1:
         rate = min_law(rv).rate
         return rate * math.exp(-rate * z)
     if req.r == rv.n:
         return max_pdf(rv, z)
-    lo = max(z - h, 0.0)
-    hi = z + h
+    lo = max(z - DIFFERENCE_STEP, 0.0)
+    hi = z + DIFFERENCE_STEP
     f_lo = order_statistic_cdf(req, lo)
     f_hi = order_statistic_cdf(req, hi)
     return max((f_hi - f_lo) / (hi - lo), 0.0)

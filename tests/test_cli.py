@@ -16,12 +16,12 @@ from expstat import (
     conv_mixture,
     max_cdf,
     max_pdf,
-    mixture_eval_grid,
     order_statistic_cdf,
     order_statistic_pdf,
     sum_route,
 )
 from expstat.cli import DEFAULT_SEED, SEED_ENV_VAR, main
+from expstat.core import mixture_eval_grid
 
 LN2 = math.log(2.0)
 

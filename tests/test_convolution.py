@@ -16,7 +16,6 @@ from expstat import (
     DegenerateRatesError,
     DomainError,
     NumericalError,
-    PhaseTypeForm,
     RateVector,
     char_fn_linear_combination,
     char_fn_product,
@@ -29,14 +28,13 @@ from expstat import (
     conv_quantile,
     mixture_cdf,
     mixture_eval,
-    mixture_eval_grid,
     mixture_integral,
-    ordering_probability,
     partial_fraction_identity_check,
     sum_pdf_quadrature,
     sum_route,
 )
 from expstat import convolution
+from expstat.core import mixture_eval_grid
 
 E_INV = math.exp(-1.0)
 LN2 = math.log(2.0)
@@ -206,41 +204,22 @@ def test_conv_pdf_scaling_invariance(rates, c):
 
 
 def test_phase_type_structure():
-    ph = PhaseTypeForm.from_rates((1.0, 2.0, 3.0))
-    s = np.asarray(ph.sub_generator)
-    np.testing.assert_array_equal(np.diag(s), [-1.0, -2.0, -3.0])
-    np.testing.assert_array_equal(np.diag(s, k=1), [1.0, 2.0])
-    np.testing.assert_array_equal(np.asarray(ph.initial), [1.0, 0.0, 0.0])
-    np.testing.assert_array_equal(np.asarray(ph.exit_vector), [0.0, 0.0, 3.0])
-
-
-def test_phase_type_rejects_inconsistent_matrix():
-    with pytest.raises(DomainError):
-        PhaseTypeForm(
-            initial=np.array([1.0, 0.0]),
-            sub_generator=np.array([[-1.0, 2.0], [0.0, -2.0]]),
-            exit_vector=np.array([0.0, 2.0]),
-        )
-
-
-@pytest.mark.parametrize(
-    "sub, exit_vector, message",
-    [
-        ([[-1.0, 1.5], [-0.5, -2.0]], [-0.5, 2.5], "non-negative"),  # negative off-diagonal entry
-        ([[-1.0, 1.5], [0.0, -2.0]], [-0.5, 2.0], "non-negative"),  # negative exit entry
-        ([[-1.0, math.nan], [0.0, -2.0]], [math.nan, 2.0], "finite"),  # NaN passes every sign test
-    ],
-)
-def test_phase_type_rejects_non_metzler_sub_generator(sub, exit_vector, message):
-    # rows sum to zero, so only the preconditions of expm catch these
-    with pytest.raises(DomainError, match=message):
-        PhaseTypeForm(initial=np.array([1.0, 0.0]), sub_generator=np.array(sub), exit_vector=np.array(exit_vector))
+    # stages 1, 2, 3 in series, then the absorbing state; the last stage's exit rate leads into it
+    q = convolution._absorbing_generator(RateVector((1.0, 2.0, 3.0)))
+    np.testing.assert_array_equal(np.diag(q), [-1.0, -2.0, -3.0, 0.0])
+    np.testing.assert_array_equal(np.diag(q, k=1), [1.0, 2.0, 3.0])
+    np.testing.assert_array_equal(q.sum(axis=1), [0.0, 0.0, 0.0, 0.0])
+    assert np.count_nonzero(q) == 6
+    assert not q.flags.writeable
+    route, form = sum_route((1.0, 1.0005, 2.0))
+    assert route == "phase-type"
+    np.testing.assert_array_equal(form, convolution._absorbing_generator(RateVector((1.0, 1.0005, 2.0))))
 
 
 def _bidiagonal_generator(n: int, g: float) -> tuple[np.ndarray, float, float]:
     rates = tuple((1.0 + g) ** i for i in range(n))
     mean, var = conv_moments(rates)
-    return PhaseTypeForm.from_rates(rates).sub_generator, mean, math.sqrt(var)
+    return convolution._absorbing_generator(RateVector(rates)), mean, math.sqrt(var)
 
 
 def _assert_entrywise_close(got: np.ndarray, a: np.ndarray, rel: float) -> None:
@@ -314,15 +293,90 @@ def test_phase_route_quantile_takes_few_matrix_exponentials(monkeypatch):
 
 def test_phase_route_quantile_still_checks_its_residual(monkeypatch):
     # a cdf that jumps by 1e-9 across every level leaves no point within 1e-10
-    phase_cdf_pdf = convolution._phase_cdf_pdf
+    absorption = convolution._absorption
 
-    def jumping(phase, t):
-        cdf, pdf = phase_cdf_pdf(phase, t)
+    def jumping(q, t):
+        cdf, pdf = absorption(q, t)
         return cdf + (5e-10 if cdf >= 0.3 else -5e-10), pdf
 
-    monkeypatch.setattr(convolution, "_phase_cdf_pdf", jumping)
+    monkeypatch.setattr(convolution, "_absorption", jumping)
     with pytest.raises(NumericalError, match="quantile residual"):
         conv_quantile((1.0, 1.0005, 2.0), 0.3)
+
+
+def _mp_absorption(rates, z) -> tuple[float, float]:
+    """(cdf, pdf) of the sum at z by uniformization in mpmath, a sum of non-negative terms.
+
+    With Lambda = max rate, P = I + Q / Lambda is stochastic and
+    expm(Q z) = sum_k e^{-Lambda z} (Lambda z)^k / k! P^k; row 0 of P^k is
+    carried stage by stage, so nothing cancels and 40 digits hold in both tails.
+    """
+    with mpmath.workdps(40):
+        lam = [mpmath.mpf(r) for r in rates]
+        n = len(lam)
+        x = max(lam) * mpmath.mpf(z)
+        move = [r / max(lam) for r in lam]
+        state = [mpmath.mpf(1)] + [mpmath.mpf(0)] * n
+        weight = mpmath.exp(-x)
+        cdf = pdf = mpmath.mpf(0)
+        k = 0
+        while True:
+            cdf += weight * state[n]
+            pdf += weight * state[n - 1]
+            # the Poisson weights beyond k sum to at most weight (k+1)/(k+1-x), and every entry is at most 1
+            if k > x and min(cdf, pdf) > 0 and weight * (k + 1) / (k + 1 - x) < mpmath.mpf(10) ** -30 * min(cdf, pdf):
+                return float(cdf), float(pdf * lam[-1])
+            state = [state[0] * (1 - move[0])] + [
+                state[j] * (1 - move[j]) + state[j - 1] * move[j - 1] for j in range(1, n)
+            ] + [state[n] + state[n - 1] * move[n - 1]]
+            k += 1
+            weight *= x / k
+
+
+def _tail_points(rates) -> np.ndarray:
+    mean, var = conv_moments(rates)
+    sd = math.sqrt(var)
+    return np.array([1e-3 * mean, 1e-2 * mean, 0.1 * mean, 0.5 * mean, mean, mean + 5.0 * sd, mean + 20.0 * sd])
+
+
+def _assert_tail_accuracy(rates, cdf, pdf, z) -> None:
+    for c, p, x in zip(cdf, pdf, z):
+        ref_cdf, ref_pdf = _mp_absorption(rates, float(x))
+        assert abs(c - ref_cdf) <= 1e-10 * ref_cdf, (rates, x, c, ref_cdf)
+        assert abs(p - ref_pdf) <= 1e-10 * ref_pdf, (rates, x, p, ref_pdf)
+
+
+@pytest.mark.parametrize(
+    "rates",
+    [(1.0, 1.0005, 2.0, 0.7, 0.7007), tuple((1.0 + 1e-4) ** i for i in range(4)), tuple((1.0 + 1e-4) ** i for i in range(8))],
+    ids=["two-pairs", "N4-g1e-4", "N8-g1e-4"],
+)
+def test_phase_route_holds_both_tails_against_mpmath(rates):
+    # the cdf is the absorbing-state entry, not 1 - survival: at 1e-3 mean the
+    # latter was off by 3e-3 relative on the first set and by 8e5 on the last
+    assert sum_route(rates)[0] == "phase-type"
+    z = _tail_points(rates)
+    _assert_tail_accuracy(rates, conv_cdf(rates, z), conv_pdf(rates, z), z)
+
+
+@pytest.mark.parametrize(
+    "rates",
+    [tuple((1.0 + g) ** i for i in range(n)) for n, g in ((6, 1.1e-3), (8, 1e-2), (10, 1e-2), (12, 0.05), (12, 0.2))]
+    + [
+        (1.0, 1.0 + 1e-12, 2.0),
+        (1.0, 1.0 + 3e-10, 1.0 + 6e-10, 0.5),
+        (0.3,) * 4 + (0.3 * (1.0 + 1e-13),),
+        (2.0, 2.0 * (1.0 + 1e-11), 2.0 * (1.0 - 1e-11), 1.0, 5.0),
+        (1.0, 1.0 + 1e-15, 1.0 + 2e-15),
+    ],
+    ids=["N6-g1.1e-3", "N8-g1e-2", "N10-g1e-2", "N12-g0.05", "N12-g0.2", "gap1e-12", "gaps3e-10", "gap1e-13", "gaps1e-11", "gaps1e-15"],
+)
+def test_absorbing_chain_holds_both_tails_against_mpmath(rates):
+    # the closed-form table families and nearly defective generators, evaluated
+    # on their raw rates: no cluster snap is needed for entrywise accuracy
+    z = _tail_points(rates)
+    cdf, pdf = convolution._absorption(convolution._absorbing_generator(RateVector(rates)), z)
+    _assert_tail_accuracy(rates, cdf, pdf, z)
 
 
 def test_phase_pdf_matches_closed_form_distinct():
@@ -479,40 +533,6 @@ def test_conv_mixture_normalization(rates):
 def test_conv_mixture_normalization_clustered():
     for rates in ((1.0, 1.0), (2.0, 2.0, 2.0), (1.0, 1.0, 2.0), (0.5, 0.5, 3.0, 3.0, 9.0)):
         assert mixture_integral(conv_mixture(rates)) == pytest.approx(1.0, abs=1e-10)
-
-
-# ---------------------------------------------------------------------------
-# ordering probability
-
-
-def test_ordering_probability_values():
-    assert ordering_probability(1.0, 1.0) == 0.5
-    assert ordering_probability(1.0, 2.0) == pytest.approx(1.0 / 3.0, rel=1e-15)
-
-
-def test_ordering_probability_monte_carlo_cross_check():
-    rng = np.random.default_rng(2024)
-    n = 1_000_000
-    x_a = rng.exponential(1.0, size=n)
-    x_b = rng.exponential(0.5, size=n)  # rate 2
-    observed = np.mean(x_b > x_a)
-    band = 3.0 * math.sqrt((1.0 / 3.0) * (2.0 / 3.0) / n)
-    assert abs(observed - ordering_probability(1.0, 2.0)) <= band
-
-
-@settings(deadline=None)
-@given(st.floats(0.01, 100.0), st.floats(0.01, 100.0))
-def test_ordering_probability_complement(ra, rb):
-    assert ordering_probability(ra, rb) + ordering_probability(rb, ra) == pytest.approx(
-        1.0, rel=1e-15
-    )
-
-
-def test_ordering_probability_rejects_bad_rates():
-    with pytest.raises(DomainError):
-        ordering_probability(-1.0, 2.0)
-    with pytest.raises(DomainError):
-        ordering_probability(1.0, 0.0)
 
 
 # ---------------------------------------------------------------------------

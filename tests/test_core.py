@@ -18,28 +18,23 @@ from expstat import (
     conv_pdf_phase_type,
     ContractError,
     DomainError,
-    ExponentialLaw,
-    MixtureTerm,
     RateVector,
     SignedExponentialMixture,
-    as_rate_vector,
     conv_mixture,
     max_cdf,
     max_mixture,
     max_pdf,
     min_cdf,
     mixture_cdf,
-    mixture_cdf_grid,
     mixture_eval,
-    mixture_eval_grid,
     mixture_integral,
     mixture_moment,
     mixture_quantile,
-    mixture_sum,
     order_statistic_cdf,
     order_statistic_pdf,
     sum_pdf_quadrature,
 )
+from expstat.core import ExponentialLaw, MixtureTerm, as_rate_vector, mixture_cdf_grid, mixture_eval_grid, mixture_sum
 
 E_INV = math.exp(-1.0)
 
@@ -114,10 +109,11 @@ def test_clustering_groups_near_equal_rates():
     assert rv.cluster_rates[1] == 2.0
 
 
-def test_clustering_respects_tolerance_override():
-    rates = (1.0, 1.0 + 1e-6)
-    assert RateVector(rates).is_distinct
-    assert not RateVector(rates, cluster_tolerance=1e-5).is_distinct
+def test_clustering_respects_tolerance():
+    assert RateVector((1.0, 1.0 + 1e-6)).is_distinct
+    assert not RateVector((1.0, 1.0 + 1e-10)).is_distinct
+    assert RateVector((1.0, 1.0 + 1.1 * core.CLUSTER_TOLERANCE)).is_distinct
+    assert not RateVector((1.0, 1.0 + 0.9 * core.CLUSTER_TOLERANCE)).is_distinct
 
 
 def test_exactly_repeated_rates_cluster():
@@ -268,6 +264,31 @@ _POINTWISE = {
     "order_statistic_pdf": lambda z: order_statistic_pdf(_ORDER, z),
     "sum_pdf_quadrature": lambda z: sum_pdf_quadrature((1.0, 2.0, 3.0), np.array([1.0, z])),
 }
+
+
+def test_mixture_kernels_take_arrays_and_order_statistics_reject_them():
+    # an array used to broadcast against the terms and come back as one wrong float
+    z = np.array([0.5, 1.0, 2.0])
+    pdf = mixture_eval(_MIX, z)
+    cdf = mixture_cdf(_MIX, z)
+    assert pdf.shape == cdf.shape == z.shape
+    np.testing.assert_allclose(pdf, [0.28170581, 0.44098783, 0.30354827], rtol=1e-7)
+    np.testing.assert_array_equal(pdf, mixture_eval_grid(_MIX, z))
+    np.testing.assert_array_equal(cdf, mixture_cdf_grid(_MIX, z))
+    np.testing.assert_allclose(cdf, [mixture_cdf(_MIX, float(x)) for x in z], rtol=1e-13)
+    for fn in (order_statistic_cdf, order_statistic_pdf):
+        with pytest.raises(DomainError, match="one point at a time"):
+            fn(_ORDER, z)
+    assert [order_statistic_cdf(_ORDER, float(x)) for x in z] == pytest.approx([0.659, 0.930, 0.997], abs=1e-3)
+
+
+def test_public_names_are_at_most_45_and_all_resolve():
+    import expstat
+
+    assert len(expstat.__all__) <= 45
+    assert len(set(expstat.__all__)) == len(expstat.__all__)
+    for name in expstat.__all__:
+        assert getattr(expstat, name) is not None, name
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
@@ -495,8 +516,8 @@ def test_density_mixtures_nonnegative_on_body(rates):
 def test_near_equal_rates_closed_form_tracks_repeated_rate_limit():
     # Rates one part in 1e6 apart: the distinct-rate expansion with ~1e6-sized
     # coefficients must still agree with the exactly-repeated evaluation.
-    loose = conv_mixture(RateVector((1.0, 1.0 + 1e-6), cluster_tolerance=1e-4))
-    tight = conv_mixture(RateVector((1.0, 1.0 + 1e-6), cluster_tolerance=1e-9))
+    loose = conv_mixture((1.0, 1.0))
+    tight = conv_mixture((1.0, 1.0 + 1e-6))
     assert loose.terms[0].degree == 1  # collapsed path
     assert all(t.degree == 0 for t in tight.terms)  # distinct path
     for z in (0.1, 0.5, 1.0, 2.0, 5.0, 10.0):

@@ -13,10 +13,8 @@ from expstat import (
     SampleBatch,
     conv_cdf,
     conv_moments,
-    ExponentialLaw,
     factorization_test,
     ks_test,
-    make_stream,
     max_cdf,
     min_cdf,
     sample_max,
@@ -25,6 +23,8 @@ from expstat import (
     sample_order,
     sample_sum,
 )
+from expstat.core import ExponentialLaw
+from expstat.montecarlo import make_stream
 
 
 # ---------------------------------------------------------------------------

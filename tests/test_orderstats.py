@@ -14,7 +14,6 @@ from expstat import (
     OrderStatisticRequest,
     SampleBatch,
     ks_test,
-    make_stream,
     max2_via_convolution,
     max_cdf,
     max_mixture,
@@ -23,7 +22,6 @@ from expstat import (
     min_law,
     mixture_cdf,
     mixture_eval,
-    mixture_eval_grid,
     mixture_integral,
     mixture_moment,
     mixture_quantile,
@@ -32,6 +30,7 @@ from expstat import (
     range2_mixture,
     sample_order,
 )
+from expstat.montecarlo import make_stream
 
 LN2 = math.log(2.0)
 

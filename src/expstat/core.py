@@ -23,7 +23,6 @@ from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence, Union
 
 import numpy as np
-from scipy.special import factorial, gammainc
 
 from .errors import ContractError, DomainError, NumericalError
 
@@ -46,6 +45,40 @@ CDF_CLAMP_WINDOW = 1e-12
 # every exponential mixture at desk scale.
 QUANTILE_BRACKET_SIGMAS = 40.0
 
+# The grid kernels evaluate this many points at a time (the last block fewer
+# than twice as many), so their temporaries hold fewer than terms x 2 GRID_BLOCK
+# doubles however many points are asked for.
+GRID_BLOCK = 8192
+
+# k! correctly rounded for k = 0..170, and inf for every larger k (171! overflows).
+_FACTORIALS = np.array([float(math.factorial(k)) for k in range(171)] + [math.inf])
+
+
+def factorial(k: np.ndarray) -> np.ndarray:
+    """k! as float64 for non-negative integers k, elementwise, from a correctly rounded table.
+
+    Equal bit for bit to scipy.special.factorial up to k = 24 (above that
+    scipy's gamma-function values may be an ulp off the correctly rounded
+    ones), and inf above 170 as scipy gives.
+    """
+    return _FACTORIALS[np.minimum(k, 171)]
+
+
+_scipy_gammainc = None
+
+
+def gammainc(a, x):
+    """Regularized lower incomplete gamma P(a, x): scipy.special.gammainc, imported on first call.
+
+    Only the cdf of Erlang (degree >= 1) terms needs it, so importing the
+    package, and every path without such a term, loads no scipy module
+    (scipy.special alone is about 0.3 s and 25 MB of a cold process).
+    """
+    global _scipy_gammainc
+    if _scipy_gammainc is None:
+        from scipy.special import gammainc as _scipy_gammainc
+    return _scipy_gammainc(a, x)
+
 
 # ---------------------------------------------------------------------------
 # argument checks
@@ -62,14 +95,18 @@ def _check_points(z) -> float | np.ndarray:
     """A scalar z as a float, anything else as a float64 array.
 
     Raises DomainError unless every point is finite and non-negative, so NaN
-    and infinite arguments never reach the kernels.  Python numbers skip
-    numpy, whose per-call overhead would dominate the per-point loops.
+    and infinite arguments never reach the kernels, and for an array of more
+    than one dimension, which every kernel would mishandle differently.
+    Python numbers skip numpy, whose per-call overhead would dominate the
+    per-point loops.
     """
     if isinstance(z, (int, float)):
         if not (math.isfinite(z) and z >= 0.0):
             raise DomainError(f"points must be finite and non-negative, got {z!r}")
         return float(z)
     zz = np.asarray(z, dtype=np.float64)
+    if zz.ndim > 1:
+        raise DomainError(f"points must be a scalar or a 1-d array, got shape {zz.shape}")
     bad = ~(np.isfinite(zz) & (zz >= 0.0))
     if np.any(bad):
         raise DomainError(f"points must be finite and non-negative, got {float(zz[bad].flat[0])!r}")
@@ -361,11 +398,27 @@ def mixture_eval(m: SignedExponentialMixture, z: float | np.ndarray) -> float | 
     return max(total, 0.0) if m.is_density else total
 
 
+def _grid_blocks(n: int) -> list[slice]:
+    """Consecutive slices of n points: GRID_BLOCK each, the last taking the rest.
+
+    Only a grid of fewer than GRID_BLOCK points gives a shorter block, so
+    every point is evaluated as it would be in one block over the whole
+    grid: numpy squares z for z**2 or calls pow depending on how the points
+    fill its 8192-element ufunc buffer, and sums a one-point block's terms
+    pairwise instead of in order.
+    """
+    starts = list(range(0, max(n - GRID_BLOCK, 0) + 1, GRID_BLOCK))
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
+
+
 def mixture_eval_grid(m: SignedExponentialMixture, z: np.ndarray) -> np.ndarray:
     """Vectorized evaluation over a grid of non-negative points.
 
-    Uses numpy pairwise summation over terms; for severely ill-conditioned
-    mixtures prefer scalar calls of mixture_eval, which are fully compensated.
+    Each point sums its terms in canonical order with plain float additions;
+    for severely ill-conditioned mixtures prefer scalar calls of
+    mixture_eval, which are fully compensated.  Points are taken GRID_BLOCK
+    at a time (_grid_blocks), so working memory is O(terms x GRID_BLOCK)
+    plus the result, and the values are those of one block bit for bit.
     A density mixture is clamped at zero, as in mixture_eval.
     """
     zz = np.atleast_1d(_check_points(z))
@@ -374,8 +427,11 @@ def mixture_eval_grid(m: SignedExponentialMixture, z: np.ndarray) -> np.ndarray:
     c = m.coefficients[:, None]
     lam = m.rates[:, None]
     k = m.degrees[:, None]
-    vals = np.sum(c * np.power(zz[None, :], k) * np.exp(-lam * zz[None, :]), axis=0)
-    return np.maximum(vals, 0.0) if m.is_density else vals
+    vals = np.empty_like(zz)
+    for block in _grid_blocks(zz.size):
+        zb = zz[None, block]
+        vals[block] = np.sum(c * np.power(zb, k) * np.exp(-lam * zb), axis=0)
+    return np.maximum(vals, 0.0, out=vals) if m.is_density else vals
 
 
 def mixture_integral(m: SignedExponentialMixture) -> float:
@@ -442,20 +498,28 @@ def mixture_cdf(m: SignedExponentialMixture, z: float | np.ndarray) -> float | n
 
 
 def mixture_cdf_grid(m: SignedExponentialMixture, z: np.ndarray) -> np.ndarray:
-    """Vectorized cdf over a grid (same termwise antiderivative as mixture_cdf)."""
+    """Vectorized cdf over a grid (same termwise antiderivative as mixture_cdf).
+
+    Without an Erlang term only -(c / rate) expm1(-rate z) is evaluated and
+    no scipy module is loaded.  Points are taken GRID_BLOCK at a time, as in
+    mixture_eval_grid.
+    """
     _require_density(m, "mixture_cdf")
     zz = np.atleast_1d(_check_points(z))
     c = m.coefficients[:, None]
     lam = m.rates[:, None]
     k = m.degrees[:, None]
-    x = lam * zz[None, :]
     flat = m.degrees == 0
-    contrib = np.where(
-        flat[:, None],
-        -(c / lam) * np.expm1(-x),
-        c * factorial(k) / lam ** (k + 1) * gammainc(k + 1, x),
-    )
-    return np.clip(np.sum(contrib, axis=0), 0.0, 1.0)
+    a = -(c / lam)
+    b = c * factorial(k) / lam ** (k + 1)
+    vals = np.empty_like(zz)
+    for block in _grid_blocks(zz.size):
+        x = lam * zz[None, block]
+        contrib = a * np.expm1(-x)
+        if not flat.all():
+            contrib = np.where(flat[:, None], contrib, b * gammainc(k + 1, x))
+        vals[block] = np.sum(contrib, axis=0)
+    return np.clip(vals, 0.0, 1.0, out=vals)
 
 
 def mixture_moment(m: SignedExponentialMixture, order: int) -> float:

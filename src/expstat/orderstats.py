@@ -40,7 +40,8 @@ from .errors import CapacityError, DomainError
 # scale, beyond that only the product forms and sampling remain available.
 SUBSET_LIMIT = 25
 
-# Step of the central finite difference behind the intermediate order densities.
+# Step of the central finite difference behind the intermediate order densities
+# (relative to z below it, see order_statistic_pdf).
 DIFFERENCE_STEP = 1e-5
 
 
@@ -191,9 +192,14 @@ def order_statistic_cdf(req: OrderStatisticRequest, z: float) -> float:
 def order_statistic_pdf(req: OrderStatisticRequest, z: float) -> float:
     """Density of the r-th order statistic at a scalar z.
 
-    Exact for r=1 (minimum) and r=N (maximum); intermediate orders use a
-    central finite difference of the dynamic-programming cdf with step
-    DIFFERENCE_STEP.
+    Exact for r=1 (minimum) and r=N (maximum).  Intermediate orders take the
+    central difference (F(z + h) - F(z - h)) / 2h of the dynamic-programming
+    cdf F, with h = DIFFERENCE_STEP from z = DIFFERENCE_STEP on and
+    h = DIFFERENCE_STEP z below it, so the stencil never reaches below 0 and
+    z = 0 gives exactly 0.  Near zero F grows like z^r, and the difference
+    is off by about (r-1)(r-2)/6 (h/z)^2 relative: below 1e-10 on the
+    relative step, but a third at r=3 and z = DIFFERENCE_STEP, falling to
+    3e-5 at z = 1e-3, on the fixed one.
     """
     rv = req.rates
     z = _check_scalar_point(z)
@@ -202,11 +208,12 @@ def order_statistic_pdf(req: OrderStatisticRequest, z: float) -> float:
         return rate * math.exp(-rate * z)
     if req.r == rv.n:
         return max_pdf(rv, z)
-    lo = max(z - DIFFERENCE_STEP, 0.0)
-    hi = z + DIFFERENCE_STEP
+    h = DIFFERENCE_STEP if z >= DIFFERENCE_STEP else DIFFERENCE_STEP * z
+    lo = z - h
+    hi = z + h
     f_lo = order_statistic_cdf(req, lo)
     f_hi = order_statistic_cdf(req, hi)
-    return max((f_hi - f_lo) / (hi - lo), 0.0)
+    return max((f_hi - f_lo) / (hi - lo), 0.0) if hi > lo else 0.0
 
 
 def min_cdf(rates: RatesLike, z: float | np.ndarray) -> float | np.ndarray:

@@ -3,16 +3,22 @@
 This module deliberately avoids the closed forms implemented elsewhere in
 the package: the density is built by convolving the component densities one
 at a time on a resolved grid.  Each convolution step represents the current
-density as a cubic spline and integrates spline-segment-times-exponential
-products exactly (in terms of lower incomplete gamma functions), so the only
-error is spline interpolation error, of order (rate * spacing)^4 per level.
+density f by its piecewise cubic Hermite interpolant, which matches the
+node values and the node slopes, and integrates each segment's cubic times
+an exponential exactly (in terms of regularized lower incomplete gamma
+values), so the only error is interpolation error, of order
+(rate * spacing)^4 per level.
+
+The slopes are exact, so no spline system is solved.  The first density
+lambda_1 e^{-lambda_1 z} has slope -lambda_1 f, and each convolution
+g = f * Exp(lambda), g(z) = int_0^z f(s) lambda e^{-lambda (z - s)} ds,
+has g' = lambda (f - g), which the node values of f and g give.  The
+incomplete gamma values are P(m, x) for m = 1..4 only, summed in numpy
+(_lower_gamma), so the oracle, like the rest of the package outside
+Erlang-term cdfs, loads no scipy module.
 
 It is a verification tool, not a hot path: the closed-form and phase-type
 evaluations are checked against it in tests and in the ``check`` command.
-``CubicSpline`` is imported inside the two functions that build splines, so
-importing the package (and every command but ``check``) never loads
-scipy.interpolate, about 19 MB resident together with the scipy.optimize it
-pulls in.
 """
 
 from __future__ import annotations
@@ -20,7 +26,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import gammainc
 
 from .core import RatesLike, _check_points, as_rate_vector
 from .errors import DomainError
@@ -65,36 +70,71 @@ def build_grid(rates: RatesLike, z_max: float) -> np.ndarray:
     return grid[grid <= z_max * (1.0 + 1e-12)]
 
 
-def convolve_exponential(grid: np.ndarray, values: np.ndarray, rate: float) -> np.ndarray:
-    """Convolve the spline through (grid, values) with rate*exp(-rate*u).
+def _lower_gamma(m: int, x: np.ndarray) -> np.ndarray:
+    """Regularized lower incomplete gamma P(m, x) at an integer m >= 1, elementwise over x >= 0.
+
+    P(m, x) = e^{-x} sum_{j >= m} x^j / j! = 1 - e^{-x} sum_{j < m} x^j / j!.
+    Below x = m the first series is summed until its terms stop changing the
+    total: every term is non-negative, so nothing cancels, and x = 0 gives
+    exactly 0.  From x = m on the finite complement is at most about 1/2
+    (the median of Gamma(m) lies below m), so one minus it loses at most a
+    bit.  Within a few eps of mpmath; scipy.special.gammainc is off by up
+    to 1.7e-14 relative on the same points.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty_like(x)
+    small = x < m
+    xs = x[small]
+    term = xs**m / math.factorial(m)
+    total = term.copy()
+    j = m
+    while np.any(term > 0.5 * np.finfo(np.float64).eps * total):
+        j += 1
+        term *= xs / j
+        total += term
+    out[small] = np.exp(-xs) * total
+    xl = x[~small]
+    term = np.ones_like(xl)
+    complement = term.copy()
+    for j in range(1, m):
+        term *= xl / j
+        complement += term
+    out[~small] = 1.0 - np.exp(-xl) * complement
+    return out
+
+
+def convolve_exponential(
+    grid: np.ndarray, values: np.ndarray, slopes: np.ndarray, rate: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Convolve the Hermite interpolant of (grid, values, slopes) with rate*exp(-rate*u).
 
     Writing the result as g(z) = int_0^z f(z-u) rate e^{-rate u} du and
     splitting at the grid nodes gives the recurrence
 
-        g(x_{i+1}) = e^{-rate*dx_i} g(x_i) + int_0^{dx_i} p_i(dx_i - u) rate e^{-rate u} du,
+        g(x_{i+1}) = e^{-rate*dx_i} g(x_i) + int_0^{dx_i} q_i(u) rate e^{-rate u} du,
 
-    where p_i is the spline cubic on segment i.  The segment integrals reduce
-    to regularized lower incomplete gamma values, so each level is exact up
-    to spline interpolation error.
+    where q_i(u) = p_i(dx_i - u) is the segment's Hermite cubic read from its
+    right end: q_i(0) = f(x_{i+1}), q_i'(0) = -f'(x_{i+1}).  The segment
+    integrals reduce to regularized lower incomplete gamma values, so each
+    level is exact up to interpolation error.  Returns g and its exact node
+    slopes rate (f - g).
     """
-    from scipy.interpolate import CubicSpline
-
-    spline = CubicSpline(grid, values)
-    c = spline.c  # (4, nseg): c[0]*s^3 + c[1]*s^2 + c[2]*s + c[3]
     d = np.diff(grid)
     x = rate * d
-    # coefficients of q(u) = p(d - u) as a polynomial in u
-    a0, a1, a2, a3 = c[3], c[2], c[1], c[0]
-    q0 = a0 + a1 * d + a2 * d**2 + a3 * d**3
-    q1 = -(a1 + 2.0 * a2 * d + 3.0 * a3 * d**2)
-    q2 = a2 + 3.0 * a3 * d
-    q3 = -a3
+    y0, y1 = values[:-1], values[1:]
+    m0, m1 = slopes[:-1], slopes[1:]
+    secant = (y1 - y0) / d
+    # q(u) = q0 + q1 u + q2 u^2 + q3 u^3
+    q0 = y1
+    q1 = -m1
+    q2 = (m0 + 2.0 * m1 - 3.0 * secant) / d
+    q3 = (2.0 * secant - m0 - m1) / d**2
     # int_0^d u^m rate e^{-rate u} du = (m! / rate^m) P(m+1, rate*d)
     beta = (
-        q0 * gammainc(1, x)
-        + q1 * (1.0 / rate) * gammainc(2, x)
-        + q2 * (2.0 / rate**2) * gammainc(3, x)
-        + q3 * (6.0 / rate**3) * gammainc(4, x)
+        q0 * _lower_gamma(1, x)
+        + q1 * (1.0 / rate) * _lower_gamma(2, x)
+        + q2 * (2.0 / rate**2) * _lower_gamma(3, x)
+        + q3 * (6.0 / rate**3) * _lower_gamma(4, x)
     )
     alpha = np.exp(-x)
     out = np.empty_like(values)
@@ -103,7 +143,19 @@ def convolve_exponential(grid: np.ndarray, values: np.ndarray, rate: float) -> n
     for i, (a, b) in enumerate(zip(alpha.tolist(), beta.tolist())):
         acc = acc * a + b
         out[i + 1] = acc
-    return out
+    return out, rate * (values - out)
+
+
+def _hermite(grid: np.ndarray, values: np.ndarray, slopes: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """The piecewise cubic Hermite interpolant of (grid, values, slopes) at z (the end cubics extrapolate)."""
+    i = np.clip(np.searchsorted(grid, z, side="right") - 1, 0, grid.size - 2)
+    d = grid[i + 1] - grid[i]
+    s = z - grid[i]
+    y0, y1, m0, m1 = values[i], values[i + 1], slopes[i], slopes[i + 1]
+    secant = (y1 - y0) / d
+    c2 = (3.0 * secant - 2.0 * m0 - m1) / d
+    c3 = (m0 + m1 - 2.0 * secant) / d**2
+    return y0 + s * (m0 + s * (c2 + s * c3))
 
 
 def sum_pdf_quadrature(rates: RatesLike, z_points: np.ndarray) -> np.ndarray:
@@ -113,8 +165,6 @@ def sum_pdf_quadrature(rates: RatesLike, z_points: np.ndarray) -> np.ndarray:
     descending rate order so the fine grid zone always matches the sharpest
     surviving kernel.
     """
-    from scipy.interpolate import CubicSpline
-
     rv = as_rate_vector(rates)
     z = np.atleast_1d(_check_points(z_points))
     ordered = sorted(rv.rates, reverse=True)
@@ -123,6 +173,7 @@ def sum_pdf_quadrature(rates: RatesLike, z_points: np.ndarray) -> np.ndarray:
     z_max = float(np.max(z)) if z.size else 1.0
     grid = build_grid(rv, max(z_max, 1e-6))
     values = ordered[0] * np.exp(-ordered[0] * grid)
+    slopes = -ordered[0] * values
     for rate in ordered[1:]:
-        values = convolve_exponential(grid, values, rate)
-    return CubicSpline(grid, values)(z)
+        values, slopes = convolve_exponential(grid, values, slopes, rate)
+    return _hermite(grid, values, slopes, z)

@@ -385,20 +385,32 @@ def test_process_exit_code_for_usage_error():
 
 
 def test_scipy_optimize_and_interpolate_stay_off_the_import_path():
-    # scipy.optimize and scipy.interpolate keep about 19 MB resident, scipy.linalg about 7 MB;
-    # only `check` may load them.  A phase-route quantile and curve run the Metzler expm.
+    # No scipy module is loaded by the import, by closed-form and order curves, by sampling, by
+    # `check` on distinct rates (its quadrature oracle included) or by a phase-route quantile;
+    # scipy.special alone is about 0.3 s and 25 MB of a cold process.  Only the cdf of an Erlang
+    # (degree >= 1) term loads it, and then no other scipy subpackage.
     script = (
-        "import sys\n"
+        "import io, sys, contextlib\n"
         "import expstat, expstat.cli\n"
-        "expstat.conv_quantile((1.0, 2.0, 3.0), 0.5)\n"
+        "out = io.StringIO()\n"
+        "with contextlib.redirect_stdout(out):\n"
+        "    for argv in (\n"
+        "        ['curve', '--stat', 'sum', '--rates', '1,2,3', '--points', '11'],\n"
+        "        ['curve', '--stat', 'sum', '--quantity', 'cdf', '--rates', '1,2,3', '--points', '11'],\n"
+        "        ['curve', '--stat', 'order', '--r', '2', '--rates', '1,2,3', '--points', '11'],\n"
+        "        ['curve', '--stat', 'max', '--quantity', 'cdf', '--rates', '1,2,3', '--points', '11'],\n"
+        "        ['sample', '--stat', 'sum', '--rates', '1,2,3', '--count', '1000'],\n"
+        "        ['check', '--rates', '1,2,3'],\n"
+        "    ):\n"
+        "        assert expstat.cli.main(argv) == 0, argv\n"
         "expstat.conv_quantile((1.0, 1.0005, 2.0), 0.5)\n"
-        "expstat.cli.main(['curve', '--stat', 'sum', '--rates', '1,1.0005,2', '--points', '11'])\n"
-        "loaded = [m for m in sys.modules if m.startswith(('scipy.optimize', 'scipy.interpolate', 'scipy.linalg'))]\n"
-        "print('loaded:', *loaded)\n"
+        "print('loaded:', *[m for m in sys.modules if m.startswith('scipy')])\n"
+        "expstat.conv_cdf((1.0, 1.0, 2.0), 1.0)\n"
+        "parts = {m.split('.')[1] for m in sys.modules if m.startswith('scipy.')}\n"
+        "print('subpackages:', *sorted(p for p in parts if not p.startswith('_') and p != 'version'))\n"
     )
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.startswith("z,value\n")
-    assert proc.stdout.splitlines()[-1] == "loaded:"
+    assert proc.stdout.splitlines() == ["loaded:", "subpackages: special"]

@@ -299,6 +299,32 @@ def test_pdf_and_cdf_reject_nonfinite_and_negative_points(name, bad):
         _POINTWISE[name](bad)
 
 
+_ARRAY_KERNELS = {
+    "conv_pdf closed-form": lambda z: conv_pdf((1.0, 2.0, 3.0), z),
+    "conv_cdf closed-form": lambda z: conv_cdf((1.0, 2.0, 3.0), z),
+    "conv_pdf erlang-block": lambda z: conv_pdf((1.0, 1.0, 4.0), z),
+    "conv_cdf erlang-block": lambda z: conv_cdf((1.0, 1.0, 4.0), z),
+    "conv_pdf phase-type": lambda z: conv_pdf((1.0, 1.0005, 2.0), z),
+    "conv_cdf phase-type": lambda z: conv_cdf((1.0, 1.0005, 2.0), z),
+    "conv_pdf_phase_type": lambda z: conv_pdf_phase_type((1.0, 2.0, 3.0), z),
+    "max_pdf": lambda z: max_pdf((1.0, 2.0, 3.0), z),
+    "max_cdf": lambda z: max_cdf((1.0, 2.0, 3.0), z),
+    "min_cdf": lambda z: min_cdf((1.0, 2.0, 3.0), z),
+    "mixture_eval": lambda z: mixture_eval(_MIX, z),
+    "mixture_cdf": lambda z: mixture_cdf(_MIX, z),
+    "mixture_eval_grid": lambda z: mixture_eval_grid(_MIX, z),
+    "mixture_cdf_grid": lambda z: mixture_cdf_grid(_MIX, z),
+    "sum_pdf_quadrature": lambda z: sum_pdf_quadrature((1.0, 2.0, 3.0), z),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ARRAY_KERNELS))
+def test_points_of_more_than_one_dimension_raise_domain_error(name):
+    # a 2x2 array used to raise numpy's broadcasting ValueError, or come back flattened from the phase route
+    with pytest.raises(DomainError, match="1-d"):
+        _ARRAY_KERNELS[name](np.full((2, 2), 0.5))
+
+
 def test_mixture_integral_frozen_values():
     assert mixture_integral(conv_mixture((1.0, 2.0))) == pytest.approx(1.0, abs=1e-15)
     erlang = SignedExponentialMixture.from_terms([MixtureTerm(4.0, 2.0, 2)])
@@ -441,6 +467,54 @@ def test_cdf_kernel_is_bit_identical_to_the_reference():
             outcomes.append(expected)
     kinds = {o[0] if isinstance(o, tuple) else "value" for o in outcomes}
     assert {"value", "ValueError", "OverflowError"} <= kinds, kinds
+
+
+def test_factorial_table_matches_scipy():
+    from scipy.special import factorial
+
+    k = np.arange(25)
+    assert core.factorial(k).tobytes() == factorial(k).tobytes()
+    assert core.factorial(np.array([170, 171, 500])).tolist() == [float(math.factorial(170)), math.inf, math.inf]
+
+
+def _one_block_eval(m, z):
+    """mixture_eval_grid as one expression over all points, the form before blocking."""
+    c, lam, k = m.coefficients[:, None], m.rates[:, None], m.degrees[:, None]
+    vals = np.sum(c * np.power(z[None, :], k) * np.exp(-lam * z[None, :]), axis=0)
+    return np.maximum(vals, 0.0) if m.is_density else vals
+
+
+def _one_block_cdf(m, z):
+    """mixture_cdf_grid as one expression over all points, gammainc on every term."""
+    from scipy.special import factorial, gammainc
+
+    c, lam, k = m.coefficients[:, None], m.rates[:, None], m.degrees[:, None]
+    x = lam * z[None, :]
+    contrib = np.where(
+        (m.degrees == 0)[:, None],
+        -(c / lam) * np.expm1(-x),
+        c * factorial(k) / lam ** (k + 1) * gammainc(k + 1, x),
+    )
+    return np.clip(np.sum(contrib, axis=0), 0.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "rates",
+    [(0.3, 0.7, 1.9, 4.4, 8.0, 11.0, 15.0), (0.5, 0.5, 0.5, 0.5), (1.0, 1.0, 2.0, 2.0, 2.0, 5.0, 9.0)],
+    ids=["closed-form", "erlang", "mixed"],
+)
+def test_blocked_grid_kernels_are_bit_identical_to_one_block(rates, monkeypatch):
+    m = conv_mixture(rates)
+    rng = np.random.default_rng(17)
+    for n in (100_000, 2 * core.GRID_BLOCK + 1, 3 * core.GRID_BLOCK - 1, 5):
+        z = rng.uniform(0.0, 30.0, n)
+        blocked = mixture_eval_grid(m, z), mixture_cdf_grid(m, z)
+        assert blocked[0].tobytes() == _one_block_eval(m, z).tobytes(), n
+        assert blocked[1].tobytes() == _one_block_cdf(m, z).tobytes(), n
+        monkeypatch.setattr(core, "GRID_BLOCK", n)
+        assert mixture_eval_grid(m, z).tobytes() == blocked[0].tobytes(), n
+        assert mixture_cdf_grid(m, z).tobytes() == blocked[1].tobytes(), n
+        monkeypatch.undo()
 
 
 def _solver_outcome(solve, f, a, b, maxiter=200):

@@ -125,6 +125,32 @@ def test_sample_min_range_pairs_shape_and_determinism():
     assert pairs.tobytes() == again.tobytes()
 
 
+def test_column_reductions_give_the_bits_of_the_row_reductions():
+    rates = (0.3, 0.7, 1.0, 1.9, 2.5, 4.4, 8.0, 9.5)
+    u = make_stream(107, 4).random((100_000, len(rates)))
+    x = -np.log1p(-u) / np.asarray(rates)[None, :]
+    assert sample_min(rates, 100_000, seed=107, stream_id=4).values.tobytes() == x.min(axis=1).tobytes()
+    assert sample_max(rates, 100_000, seed=107, stream_id=4).values.tobytes() == x.max(axis=1).tobytes()
+    assert sample_sum(rates, 100_000, seed=107, stream_id=4).values.tobytes() == x.sum(axis=1).tobytes()
+    u = make_stream(108, 0).random((20_000, 2))
+    x = -np.log1p(-u) / np.array([1.0, 2.0])[None, :]
+    expected = np.column_stack((x.min(axis=1), x.max(axis=1) - x.min(axis=1)))
+    assert sample_min_range_pairs(1.0, 2.0, 20_000, seed=108).tobytes() == expected.tobytes()
+
+
+def test_factorization_cell_counts_match_a_per_pair_count():
+    pairs = sample_min_range_pairs(1.0, 3.0, 20_000, seed=109)
+    m = 10
+    qs = np.arange(1, m + 1) / (m + 1)
+    bu = np.searchsorted(np.quantile(pairs[:, 0], qs), pairs[:, 0], side="left")
+    bv = np.searchsorted(np.quantile(pairs[:, 1], qs), pairs[:, 1], side="left")
+    counts = np.zeros((m + 1, m + 1))
+    np.add.at(counts, (bu, bv), 1.0)
+    cum = counts.cumsum(axis=0).cumsum(axis=1) / pairs.shape[0]
+    expected = float(np.max(np.abs(cum[:m, :m] - np.outer(cum[:m, m], cum[m, :m]))))
+    assert factorization_test(pairs).max_deviation == expected
+
+
 # ---------------------------------------------------------------------------
 # KS test
 

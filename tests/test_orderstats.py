@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -319,6 +320,34 @@ def test_order_pdf_central_matches_cdf_derivative():
     for z in (0.3, 1.0, 2.0):
         fd = (order_statistic_cdf(req, z + h) - order_statistic_cdf(req, z - h)) / (2 * h)
         assert order_statistic_pdf(req, z) == pytest.approx(fd, abs=1e-8)
+
+
+def _mp_order_pdf(rates, r, z):
+    """sum_n lambda_n e^{-lambda_n z} P(exactly r-1 of the others <= z), the leave-one-out Poisson binomial, at 50 digits."""
+    with mpmath.workdps(50):
+        z = mpmath.mpf(z)
+        total = mpmath.mpf(0)
+        for n, rate in enumerate(rates):
+            dp = [mpmath.mpf(1)] + [mpmath.mpf(0)] * (len(rates) - 1)
+            for m, other in enumerate(x for i, x in enumerate(rates) if i != n):
+                p = -mpmath.expm1(-mpmath.mpf(other) * z)
+                for k in range(m + 1, 0, -1):
+                    dp[k] = dp[k] * (1 - p) + dp[k - 1] * p
+                dp[0] *= 1 - p
+            total += rate * mpmath.exp(-rate * z) * dp[r - 1]
+        return total
+
+
+@pytest.mark.parametrize(
+    "rates, r",
+    [((1.0, 2.0, 3.0), 2), ((0.5, 1.0, 2.0, 3.0, 5.0, 8.0), 3), ((0.3, 1.0, 2.5, 4.0, 7.0), 4)],
+)
+def test_intermediate_order_pdf_is_zero_at_origin_and_exact_near_it(rates, r):
+    req = OrderStatisticRequest(rates, r)
+    assert order_statistic_pdf(req, 0.0) == 0.0
+    for z in (1e-9, 1e-7, 5e-6):
+        ref = _mp_order_pdf(rates, r, z)
+        assert float(abs(order_statistic_pdf(req, z) / ref - 1)) <= 1e-8, z
 
 
 def test_order_sample_distribution_matches_dp_cdf():

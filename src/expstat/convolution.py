@@ -34,8 +34,10 @@ check provide cheap internal consistency tests of the same coefficients.
 from __future__ import annotations
 
 import math
+import sys
 from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Union
 
 import numpy as np
@@ -54,7 +56,7 @@ from .core import (
     mixture_eval,
     mixture_quantile,
 )
-from .errors import DegenerateRatesError, DomainError, NumericalError
+from .errors import CapacityError, DegenerateRatesError, DomainError, NumericalError
 
 # Minimal cross-cluster relative gap below which sum_route delegates
 # evaluation to the phase-type route instead of the signed closed form.
@@ -65,6 +67,8 @@ SWITCH_THRESHOLD = 1e-3
 _LOG_SPACE_SIZE = 20
 
 _LOG_DOUBLE_MAX = math.log(np.finfo(np.float64).max)
+
+_TINY = sys.float_info.min  # the smallest normal double
 
 
 # ---------------------------------------------------------------------------
@@ -144,30 +148,74 @@ def _confluent_terms(mu: tuple[float, ...], mult: tuple[int, ...]) -> list[tuple
     the Leibniz recurrence with the explicit log-derivatives
 
         psi_g^{(j)}(-mu_g) = (-1)^j (j-1)! sum_{h != g} m_h (mu_h-mu_g)^{-j}.
+
+    The terms are formed in floats as written.  When a power, factorial or
+    binomial there leaves the double range, or C, a phi_g or a nonzero
+    coefficient comes out other than a normal double, they are formed again
+    exactly (_exact_confluent_terms), which raises CapacityError for a
+    coefficient outside the normal range.
     """
-    c_total = 1.0
-    for m, k in zip(mu, mult):
-        c_total *= m**k
-    terms: list[tuple[float, float, int]] = []
-    for g, (mu_g, m_g) in enumerate(zip(mu, mult)):
-        psi = [0.0] * m_g  # psi[j] = psi_g^(j)(-mu_g), j >= 1 used
-        for j in range(1, m_g):
-            s = math.fsum(
-                mult[h] / (mu[h] - mu_g) ** j for h in range(len(mu)) if h != g
+    try:
+        c_total = 1.0
+        for m, k in zip(mu, mult):
+            c_total *= m**k
+        normal = [c_total]
+        terms: list[tuple[float, float, int]] = []
+        for g, (mu_g, m_g) in enumerate(zip(mu, mult)):
+            psi = [0.0] * m_g  # psi[j] = psi_g^(j)(-mu_g), j >= 1 used
+            for j in range(1, m_g):
+                s = math.fsum(
+                    mult[h] / (mu[h] - mu_g) ** j for h in range(len(mu)) if h != g
+                )
+                psi[j] = (-1.0) ** j * math.factorial(j - 1) * s
+            phi = [0.0] * m_g
+            phi[0] = math.prod(
+                (mu[h] - mu_g) ** (-mult[h]) for h in range(len(mu)) if h != g
             )
-            psi[j] = (-1.0) ** j * math.factorial(j - 1) * s
-        phi = [0.0] * m_g
-        phi[0] = math.prod(
-            (mu[h] - mu_g) ** (-mult[h]) for h in range(len(mu)) if h != g
-        )
+            normal.append(phi[0])
+            for r in range(1, m_g):
+                phi[r] = math.fsum(
+                    math.comb(r - 1, j) * psi[r - j] * phi[j] for j in range(r)
+                )
+            for k in range(1, m_g + 1):
+                a = phi[m_g - k] / math.factorial(m_g - k)
+                coeff = c_total * a / math.factorial(k - 1)
+                terms.append((coeff, mu_g, k - 1))
+                if a:
+                    normal.append(coeff)
+        if all(_TINY <= abs(v) < math.inf for v in normal):
+            return terms
+    except (ArithmeticError, ValueError):  # an overflow, a division by an underflowed power, inf - inf
+        pass
+    return _exact_confluent_terms(mu, mult)
+
+
+def _exact_confluent_terms(mu: tuple[float, ...], mult: tuple[int, ...]) -> list[tuple[float, float, int]]:
+    """The terms of _confluent_terms in exact rational arithmetic, each coefficient rounded once.
+
+    With d_r = phi_g^{(r)}(-mu_g) / r! the Leibniz recurrence reads
+    r d_r = sum_{j=1}^{r} (-1)^j s_j d_{r-j}, s_j = sum_{h != g} m_h (mu_h-mu_g)^{-j},
+    and a_{g,k} = d_{m_g-k}.  Raises CapacityError, naming the cluster, when a
+    nonzero coefficient lies outside the normal double range.
+    """
+    q = [Fraction(m) for m in mu]
+    c_total = math.prod(m**k for m, k in zip(q, mult))
+    terms = []
+    for g, (mu_g, m_g) in enumerate(zip(q, mult)):
+        gaps = [(q[h] - mu_g, mult[h]) for h in range(len(q)) if h != g]
+        s = [sum((m / gap**j for gap, m in gaps), Fraction(0)) for j in range(m_g)]
+        d = [math.prod((gap**-m for gap, m in gaps), start=Fraction(1))]
         for r in range(1, m_g):
-            phi[r] = math.fsum(
-                math.comb(r - 1, j) * psi[r - j] * phi[j] for j in range(r)
-            )
+            d.append(sum((-1) ** j * s[j] * d[r - j] for j in range(1, r + 1)) / r)
         for k in range(1, m_g + 1):
-            a = phi[m_g - k] / math.factorial(m_g - k)
-            coeff = c_total * a / math.factorial(k - 1)
-            terms.append((coeff, mu_g, k - 1))
+            coeff = c_total * d[m_g - k] / math.factorial(k - 1)
+            if coeff and not _TINY <= abs(coeff) <= sys.float_info.max:
+                magnitude = math.log10(abs(coeff.numerator)) - math.log10(coeff.denominator)
+                raise CapacityError(
+                    f"the degree-{k - 1} coefficient of the cluster of {m_g} rates at {mu[g]!r} "
+                    f"is about 1e{magnitude:.0f}, outside the normal double range"
+                )
+            terms.append((float(coeff), mu[g], k - 1))
     return terms
 
 

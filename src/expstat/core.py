@@ -52,6 +52,7 @@ GRID_BLOCK = 8192
 
 # k! correctly rounded for k = 0..170, and inf for every larger k (171! overflows).
 _FACTORIALS = np.array([float(math.factorial(k)) for k in range(171)] + [math.inf])
+_HALF_EPS = 0.5 * math.ulp(1.0)
 
 
 def factorial(k: np.ndarray) -> np.ndarray:
@@ -64,20 +65,52 @@ def factorial(k: np.ndarray) -> np.ndarray:
     return _FACTORIALS[np.minimum(k, 171)]
 
 
-_scipy_gammainc = None
+def _gammainc_float(a: int, x: float) -> float:
+    """gammainc at one point, in Python floats."""
+    if x >= 4 * a + 50:  # Q(a, x) < e^-49 by a Chernoff bound, so P rounds to 1
+        return 1.0
+    if not x > 0.0:
+        return 0.0 if x == 0.0 else math.nan
+    lead = math.exp(a * math.log(x) - math.log(math.factorial(a)) - x)
+    term, total, j = 1.0, 1.0, float(a)
+    if x < a:
+        while term > _HALF_EPS:
+            j += 1.0
+            term *= x / j
+            total += term
+        return lead * total
+    while term > _HALF_EPS:
+        j -= 1.0
+        term *= j / x
+        total += term
+    return 1.0 - lead * a / x * total
 
 
 def gammainc(a, x):
-    """Regularized lower incomplete gamma P(a, x): scipy.special.gammainc, imported on first call.
+    """Regularized lower incomplete gamma P(a, x) at integer shapes a >= 1, broadcast over (a, x).
 
-    Only the cdf of Erlang (degree >= 1) terms needs it, so importing the
-    package, and every path without such a term, loads no scipy module
-    (scipy.special alone is about 0.3 s and 25 MB of a cold process).
+    From L = x^a e^{-x} / a! = exp(a log x - log a! - x), which never overflows, P is
+    L sum_i x^i / ((a+1)...(a+i)) below x = a and 1 - L (a/x) sum_i (a-1)...(a-i) / x^i from
+    x = a on, a complement of at most about 1/2.  Each sum, at least 1, stops at a term below
+    eps/2.  0 at x = 0, NaN at x < 0.  At most 16 points in two 1-d arrays of one shape, as
+    the scalar cdf passes, run in Python floats, where numpy's per-call cost would dominate.
     """
-    global _scipy_gammainc
-    if _scipy_gammainc is None:
-        from scipy.special import gammainc as _scipy_gammainc
-    return _scipy_gammainc(a, x)
+    a, x = np.asarray(a, dtype=np.int64), np.asarray(x, dtype=np.float64)
+    if x.ndim == 1 and a.shape == x.shape and x.size <= 16:
+        return np.array(list(map(_gammainc_float, a.tolist(), x.tolist())))
+    log_fact = np.array([math.log(math.factorial(k)) for k in a.ravel().tolist()]).reshape(a.shape)
+    a, log_fact, x = np.broadcast_arrays(a.astype(np.float64), log_fact, x)
+    out = np.where(x == np.inf, 1.0, np.nan)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lead = np.exp(a * np.log(x) - log_fact - x)
+        for below, part in ((True, (0.0 <= x) & (x < a)), (False, (a <= x) & (x < np.inf))):
+            xs, s, term, total, i = x[part], a[part], 1.0, 1.0, 0
+            while np.any(term > _HALF_EPS):
+                i += 1
+                term = term * (xs / (s + i) if below else (s - i) / xs)
+                total = total + term
+            out[part] = lead[part] * total if below else 1.0 - lead[part] * s / xs * total
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -340,16 +373,17 @@ class SignedExponentialMixture:
 
         (a, -rate) of the degree-0 terms, whose antiderivative is
         a * expm1(-rate z) with a = -(c / rate); (b, k + 1, rate) of the
-        Erlang terms, b * gammainc(k + 1, rate z) with b = c k! / rate^(k+1);
-        and the bound terms * max(|a|, |b|) on every partial sum at z >= 0.
-        a and b are the left-to-right prefixes of each term's product, so a
-        term rounds exactly as the whole product evaluated in one expression.
+        Erlang terms, b * gammainc(k + 1, rate z) with b = c k! / rate^(k+1)
+        (_gamma_weights); and the bound terms * max(|a|, |b|) on every
+        partial sum at z >= 0.  a and b are the left-to-right prefixes of each
+        term's product, so a term rounds exactly as the whole product
+        evaluated in one expression.
         """
         flat = self.degrees == 0
         c, lam, k = self.coefficients, self.rates, self.degrees
         a = -(c[flat] / lam[flat])
         k, lam_k = k[~flat], lam[~flat]
-        b = c[~flat] * factorial(k) / lam_k ** (k + 1)
+        b = _gamma_weights(c[~flat], k, lam_k)
         bound = self.n_terms * float(max(np.abs(a).max(initial=0.0), np.abs(b).max(initial=0.0)))
         return a, -lam[flat], b, k + 1, lam_k, bound
 
@@ -378,6 +412,38 @@ def _require_density(m: SignedExponentialMixture, op: str) -> None:
         raise ContractError(f"{op} requires a mixture flagged as a probability density")
 
 
+def _term_values(c, k, lam, z) -> np.ndarray:
+    """The terms c z^k exp(-lam z), broadcast over the arguments.
+
+    A term that overflows on the way (z^k = inf, and inf * 0 = NaN) is formed
+    again as c exp(k log z - lam z); every finite term keeps its bits.
+    """
+    vals = c * np.power(z, k) * np.exp(-lam * z)
+    if not math.isfinite(vals.sum()):
+        redo = ~np.isfinite(vals)
+        c, k, lam, z = (np.broadcast_to(v, vals.shape)[redo] for v in (c, k, lam, z))
+        vals[redo] = c * np.exp(k * np.log(z) - lam * z)
+    return vals
+
+
+def _gamma_weights(c: np.ndarray, k: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """c k! / lam^(k+1) termwise, the integral of c z^k exp(-lam z) over [0, inf).
+
+    A weight whose product as written leaves the double range (k! past k = 170,
+    c k! or lam^(k+1) overflowing, lam^(k+1) underflowing to 0) is formed again
+    from logarithms; every other weight keeps the bits of the product.
+    """
+    power = lam ** (k + 1)
+    w = c * factorial(k) / power
+    if not math.isfinite(w @ power):  # an out-of-range weight or power gives inf, or inf * 0 = NaN
+        with np.errstate(divide="ignore", invalid="ignore"):
+            redo = ~np.isfinite(w * power)
+            c, k, lam = c[redo], k[redo], lam[redo]
+            log_fact = np.array([math.log(math.factorial(v)) for v in k.tolist()])
+            w[redo] = np.sign(c) * np.exp(np.log(np.abs(c)) + log_fact - (k + 1) * np.log(lam))
+    return w
+
+
 def mixture_eval(m: SignedExponentialMixture, z: float | np.ndarray) -> float | np.ndarray:
     """Evaluate the mixture at z >= 0, a scalar (float result) or an array.
 
@@ -392,7 +458,7 @@ def mixture_eval(m: SignedExponentialMixture, z: float | np.ndarray) -> float | 
         return mixture_eval_grid(m, z)
     if m.n_terms == 0:
         return 0.0
-    vals = m.coefficients * np.power(z, m.degrees) * np.exp(-m.rates * z)
+    vals = _term_values(m.coefficients, m.degrees, m.rates, z)
     vals = vals[np.argsort(np.abs(vals))[::-1]]
     total = math.fsum(vals)
     return max(total, 0.0) if m.is_density else total
@@ -430,7 +496,7 @@ def mixture_eval_grid(m: SignedExponentialMixture, z: np.ndarray) -> np.ndarray:
     vals = np.empty_like(zz)
     for block in _grid_blocks(zz.size):
         zb = zz[None, block]
-        vals[block] = np.sum(c * np.power(zb, k) * np.exp(-lam * zb), axis=0)
+        vals[block] = np.sum(_term_values(c, k, lam, zb), axis=0)
     return np.maximum(vals, 0.0, out=vals) if m.is_density else vals
 
 
@@ -438,7 +504,7 @@ def mixture_integral(m: SignedExponentialMixture) -> float:
     """Exact integral over [0, inf): sum_i c_i * k_i! / rate_i^(k_i+1)."""
     if m.n_terms == 0:
         return 0.0
-    vals = m.coefficients * factorial(m.degrees) / m.rates ** (m.degrees + 1)
+    vals = _gamma_weights(m.coefficients, m.degrees, m.rates)
     return math.fsum(vals[np.argsort(np.abs(vals))[::-1]])
 
 
@@ -500,9 +566,9 @@ def mixture_cdf(m: SignedExponentialMixture, z: float | np.ndarray) -> float | n
 def mixture_cdf_grid(m: SignedExponentialMixture, z: np.ndarray) -> np.ndarray:
     """Vectorized cdf over a grid (same termwise antiderivative as mixture_cdf).
 
-    Without an Erlang term only -(c / rate) expm1(-rate z) is evaluated and
-    no scipy module is loaded.  Points are taken GRID_BLOCK at a time, as in
-    mixture_eval_grid.
+    An Erlang term adds one gammainc call per block, on every term's row;
+    without one only -(c / rate) expm1(-rate z) is evaluated.  Points are
+    taken GRID_BLOCK at a time, as in mixture_eval_grid.
     """
     _require_density(m, "mixture_cdf")
     zz = np.atleast_1d(_check_points(z))
@@ -511,7 +577,7 @@ def mixture_cdf_grid(m: SignedExponentialMixture, z: np.ndarray) -> np.ndarray:
     k = m.degrees[:, None]
     flat = m.degrees == 0
     a = -(c / lam)
-    b = c * factorial(k) / lam ** (k + 1)
+    b = _gamma_weights(m.coefficients, m.degrees, m.rates)[:, None]
     vals = np.empty_like(zz)
     for block in _grid_blocks(zz.size):
         x = lam * zz[None, block]
@@ -526,7 +592,7 @@ def mixture_moment(m: SignedExponentialMixture, order: int) -> float:
     """Raw moment of order 1 or 2: sum_i c_i * (k_i+order)! / rate_i^(k_i+order+1)."""
     if order not in (1, 2):
         raise DomainError(f"moment order must be 1 or 2, got {order!r}")
-    vals = m.coefficients * factorial(m.degrees + order) / m.rates ** (m.degrees + order + 1)
+    vals = _gamma_weights(m.coefficients, m.degrees + order, m.rates)
     return math.fsum(vals[np.argsort(np.abs(vals))[::-1]])
 
 

@@ -13,9 +13,8 @@ The slopes are exact, so no spline system is solved.  The first density
 lambda_1 e^{-lambda_1 z} has slope -lambda_1 f, and each convolution
 g = f * Exp(lambda), g(z) = int_0^z f(s) lambda e^{-lambda (z - s)} ds,
 has g' = lambda (f - g), which the node values of f and g give.  The
-incomplete gamma values are P(m, x) for m = 1..4 only, summed in numpy
-(_lower_gamma), so the oracle, like the rest of the package outside
-Erlang-term cdfs, loads no scipy module.
+incomplete gamma values P(m, x), m = 1..4, come from core.gammainc, which
+the Erlang-term cdfs use too.
 
 It is a verification tool, not a hot path: the closed-form and phase-type
 evaluations are checked against it in tests and in the ``check`` command.
@@ -27,7 +26,7 @@ import math
 
 import numpy as np
 
-from .core import RatesLike, _check_points, as_rate_vector
+from .core import RatesLike, _check_points, as_rate_vector, gammainc
 from .errors import DomainError
 
 # Relative node spacing: rate * spacing <= H_REL wherever a component kernel
@@ -70,39 +69,6 @@ def build_grid(rates: RatesLike, z_max: float) -> np.ndarray:
     return grid[grid <= z_max * (1.0 + 1e-12)]
 
 
-def _lower_gamma(m: int, x: np.ndarray) -> np.ndarray:
-    """Regularized lower incomplete gamma P(m, x) at an integer m >= 1, elementwise over x >= 0.
-
-    P(m, x) = e^{-x} sum_{j >= m} x^j / j! = 1 - e^{-x} sum_{j < m} x^j / j!.
-    Below x = m the first series is summed until its terms stop changing the
-    total: every term is non-negative, so nothing cancels, and x = 0 gives
-    exactly 0.  From x = m on the finite complement is at most about 1/2
-    (the median of Gamma(m) lies below m), so one minus it loses at most a
-    bit.  Within a few eps of mpmath; scipy.special.gammainc is off by up
-    to 1.7e-14 relative on the same points.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    small = x < m
-    xs = x[small]
-    term = xs**m / math.factorial(m)
-    total = term.copy()
-    j = m
-    while np.any(term > 0.5 * np.finfo(np.float64).eps * total):
-        j += 1
-        term *= xs / j
-        total += term
-    out[small] = np.exp(-xs) * total
-    xl = x[~small]
-    term = np.ones_like(xl)
-    complement = term.copy()
-    for j in range(1, m):
-        term *= xl / j
-        complement += term
-    out[~small] = 1.0 - np.exp(-xl) * complement
-    return out
-
-
 def convolve_exponential(
     grid: np.ndarray, values: np.ndarray, slopes: np.ndarray, rate: float
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -131,10 +97,10 @@ def convolve_exponential(
     q3 = (2.0 * secant - m0 - m1) / d**2
     # int_0^d u^m rate e^{-rate u} du = (m! / rate^m) P(m+1, rate*d)
     beta = (
-        q0 * _lower_gamma(1, x)
-        + q1 * (1.0 / rate) * _lower_gamma(2, x)
-        + q2 * (2.0 / rate**2) * _lower_gamma(3, x)
-        + q3 * (6.0 / rate**3) * _lower_gamma(4, x)
+        q0 * gammainc(1, x)
+        + q1 * (1.0 / rate) * gammainc(2, x)
+        + q2 * (2.0 / rate**2) * gammainc(3, x)
+        + q3 * (6.0 / rate**3) * gammainc(4, x)
     )
     alpha = np.exp(-x)
     out = np.empty_like(values)

@@ -13,6 +13,7 @@ from scipy import integrate, special, stats
 
 from conftest import gamma_limit_error, quantile_grid, random_rate_sets, separated_rate_strategy
 from expstat import (
+    CapacityError,
     DegenerateRatesError,
     DomainError,
     NumericalError,
@@ -163,6 +164,52 @@ def test_erlang_mixture_matches_gamma_cdf():
         assert mixture_cdf(mix, z) == pytest.approx(
             float(special.gammainc(3.0, 2.0 * z)), abs=1e-12
         )
+
+
+def _mp_gamma_law(n, rate, z=None, p=None):
+    """pdf and cdf of Gamma(n, rate) at z, or its p-quantile, at 40 digits."""
+    with mpmath.workdps(40):
+        lam = mpmath.mpf(rate)
+        if p is not None:
+            cdf = lambda t: mpmath.gammainc(n, 0, lam * t, regularized=True) - p  # noqa: E731
+            return mpmath.findroot(cdf, (n / lam / 2, 2 * n / lam), solver="anderson")
+        z = mpmath.mpf(z)
+        return lam**n * z ** (n - 1) * mpmath.exp(-lam * z) / mpmath.factorial(n - 1), mpmath.gammainc(n, 0, lam * z, regularized=True)
+
+
+@pytest.mark.parametrize("n, rate", [(172, 1.0), (120, 1000.0), (120, 0.001)])
+def test_erlang_block_coefficients_outside_the_double_range(n, rate):
+    # the one coefficient rate^n / (n-1)! is 8e-310 (subnormal), 1.8e163 and 1.8e-557: the normal
+    # one is formed although rate^n overflows, the others raise CapacityError naming the cluster
+    rates = (rate,) * n
+    mean = n / rate
+    calls = {
+        "pdf": lambda: conv_pdf(rates, mean),
+        "pdf grid": lambda: conv_pdf(rates, np.array([mean]))[0],
+        "cdf": lambda: conv_cdf(rates, mean),
+        "median": lambda: conv_quantile(rates, 0.5),
+    }
+    if rate != 1000.0:
+        for call in calls.values():
+            with pytest.raises(CapacityError, match=f"cluster of {n} rates at {rate!r}"):
+                call()
+        return
+    pdf, cdf = _mp_gamma_law(n, rate, z=mean)
+    refs = {"pdf": pdf, "pdf grid": pdf, "cdf": cdf, "median": _mp_gamma_law(n, rate, p=0.5)}
+    for name, call in calls.items():
+        assert abs(call() / refs[name] - 1) <= 1e-10, name
+
+
+def test_erlang_pdf_stays_finite_where_the_power_overflows():
+    # z^k overflows: inf * exp(-z) = inf * 0 was NaN from z = 1e155 for (1, 1, 1), and
+    # z^149 / 149! at z = 150 was inf
+    assert conv_pdf((1.0, 1.0, 1.0), 1e155) == 0.0
+    assert conv_pdf((1.0, 1.0, 1.0), np.array([1.0, 1e155, 1e200, 1e300])).tolist() == [
+        conv_pdf((1.0, 1.0, 1.0), 1.0), 0.0, 0.0, 0.0,
+    ]
+    ref = _mp_gamma_law(150, 1.0, z=150.0)[0]
+    for got in (conv_pdf((1.0,) * 150, 150.0), conv_pdf((1.0,) * 150, np.array([1.0, 150.0]))[1]):
+        assert abs(got / ref - 1) <= 1e-10, got
 
 
 def test_confluent_mixture_hand_value():

@@ -3,6 +3,7 @@
 import itertools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -407,7 +408,9 @@ def test_mixture_quantile_rejects_bad_probability():
 
 def _reference_cdf_raw(m, z):
     """The termwise cdf as it was before the per-mixture kernel, kept as the reference."""
-    from scipy.special import factorial, gammainc
+    from scipy.special import factorial
+
+    gammainc = core.gammainc
 
     vals = np.empty(m.n_terms)
     flat = m.degrees == 0
@@ -477,6 +480,30 @@ def test_factorial_table_matches_scipy():
     assert core.factorial(np.array([170, 171, 500])).tolist() == [float(math.factorial(170)), math.inf, math.inf]
 
 
+def test_gammainc_holds_3e_13_against_mpmath_to_shape_200():
+    # integer shapes a = 1..200, x from 1e-300 to 1e4 and around x = a, where the two sums meet;
+    # each shape once through the numpy loops (23 points in one call) and once through the
+    # Python-float loops (one point per call)
+    worst = 0.0
+    for a in range(1, 201):
+        x = np.concatenate((np.geomspace(1e-300, 1e4, 17), a * np.array([0.5, 0.96, 1 - 1e-12, 1.0, 1.04, 1.5])))
+        together = core.gammainc(a, x)
+        alone = np.array([core.gammainc(np.array([a]), np.array([v]))[0] for v in x.tolist()])
+        with mpmath.workdps(40):
+            for v, g1, g2 in zip(x.tolist(), together.tolist(), alone.tolist()):
+                ref = mpmath.gammainc(a, 0, mpmath.mpf(v), regularized=True)
+                for got in (g1, g2):
+                    # below the normal range only the absolute error of a subnormal is asked
+                    err = abs(got - ref) / ref if ref >= 2.2250738585072014e-308 else abs(got - ref) / 2.2250738585072014e-308
+                    worst = max(worst, float(err))
+    assert worst <= 3e-13, worst
+    special = np.array([0.0, -1e-300, -1.0, -np.inf, np.nan, np.inf])
+    for a in (1, 2, 7, 200):
+        for got in (core.gammainc(a, np.tile(special, 3)).tolist()[:6], core.gammainc(np.full(6, a), special).tolist()):
+            assert got[0] == 0.0 and got[5] == 1.0, (a, got)
+            assert all(math.isnan(v) for v in got[1:5]), (a, got)
+
+
 def _one_block_eval(m, z):
     """mixture_eval_grid as one expression over all points, the form before blocking."""
     c, lam, k = m.coefficients[:, None], m.rates[:, None], m.degrees[:, None]
@@ -486,7 +513,9 @@ def _one_block_eval(m, z):
 
 def _one_block_cdf(m, z):
     """mixture_cdf_grid as one expression over all points, gammainc on every term."""
-    from scipy.special import factorial, gammainc
+    from scipy.special import factorial
+
+    gammainc = core.gammainc
 
     c, lam, k = m.coefficients[:, None], m.rates[:, None], m.degrees[:, None]
     x = lam * z[None, :]

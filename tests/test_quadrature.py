@@ -1,4 +1,4 @@
-"""The quadrature oracle: Hermite convolution with exact slopes and its incomplete gamma values."""
+"""The quadrature oracle: Hermite convolution with exact slopes and its incomplete gamma values (core.gammainc)."""
 
 import mpmath
 import numpy as np
@@ -6,7 +6,7 @@ import pytest
 
 from conftest import random_rate_sets
 from expstat import sum_pdf_quadrature
-from expstat.quadrature import _lower_gamma
+from expstat.core import gammainc
 
 
 def _mp_sum_pdf(rates, z):
@@ -42,7 +42,7 @@ def test_quadrature_oracle_holds_1e_9_against_mpmath():
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_lower_gamma_matches_mpmath(m):
     x = np.concatenate(([0.0], np.geomspace(1e-12, 100.0, 300), [m * (1 - 1e-15), float(m), m * (1 + 1e-15)]))
-    got = _lower_gamma(m, x)
+    got = gammainc(m, x)
     assert got[0] == 0.0
     with mpmath.workdps(40):
         ref = [mpmath.gammainc(m, 0, mpmath.mpf(v), regularized=True) for v in x[1:].tolist()]

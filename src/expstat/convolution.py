@@ -10,9 +10,8 @@ other.  Every sum-law operation takes one of three routes, chosen by
 ``sum_route``:
 
 * ``closed-form``: distinct rates, the signed combination above;
-* ``erlang-block``: rates equal within the cluster tolerance give exact
-  Erlang blocks from a confluent partial-fraction expansion (degree >= 1
-  terms);
+* ``erlang-block``: exactly repeated rates give exact Erlang blocks from a
+  confluent partial-fraction expansion (degree >= 1 terms);
 * ``phase-type``: distinct cluster rates closer than ``SWITCH_THRESHOLD``
   (relative) are evaluated as the absorption time of a chain of N stages
   in series plus one absorbing state.  With E = expm(Q z) for its
@@ -23,9 +22,11 @@ other.  Every sum-law operation takes one of three routes, chosen by
   accuracy whatever the gaps, and scipy.linalg is not imported; the
   route's quantiles take safeguarded Newton steps, one expm each.
 
-The rule ignores the number of rates, so the handoff is not continuous:
-at N=6 and gap 1.1e-3, just above the threshold, the closed form is off by
-relative pdf errors near 0.15.
+The rates are taken as given: close but unequal rates are not merged into
+a cluster, and their gap below ``SWITCH_THRESHOLD`` sends them to the
+phase-type route.  The rule ignores the number of rates, so the handoff is
+not continuous: at N=6 and gap 1.1e-3, just above the threshold, the closed
+form is off by relative pdf errors near 0.15.
 
 The characteristic-function identities and the partial-fraction residual
 check provide cheap internal consistency tests of the same coefficients.
@@ -43,7 +44,6 @@ from typing import Union
 import numpy as np
 
 from .core import (
-    CLUSTER_TOLERANCE,
     RatesLike,
     RateVector,
     SignedExponentialMixture,
@@ -61,12 +61,6 @@ from .errors import CapacityError, DegenerateRatesError, DomainError, NumericalE
 # Minimal cross-cluster relative gap below which sum_route delegates
 # evaluation to the phase-type route instead of the signed closed form.
 SWITCH_THRESHOLD = 1e-3
-
-# Above this size the coefficient products are formed in log space with the
-# sign tracked separately, to dodge intermediate overflow.
-_LOG_SPACE_SIZE = 20
-
-_LOG_DOUBLE_MAX = math.log(np.finfo(np.float64).max)
 
 _TINY = sys.float_info.min  # the smallest normal double
 
@@ -92,41 +86,29 @@ class ConvolutionCoefficients:
 
 
 def conv_coefficients(rates: RatesLike) -> ConvolutionCoefficients:
-    """A_n = prod_{j != n} lambda_j / (lambda_j - lambda_n) for distinct rates.
+    """A_n = prod_{j != n} lambda_j / (lambda_j - lambda_n) for distinct rates, by the direct product.
 
-    Raises DegenerateRatesError when any rates cluster together; repeated
-    rates are handled by conv_mixture / conv_pdf, which build Erlang blocks
-    instead of these coefficients.
+    Any two unequal rates qualify, however close: each factor is formed from
+    the rates as given.  Raises DegenerateRatesError when a rate is repeated
+    (conv_pdf / conv_mixture build Erlang blocks for those instead), and
+    NumericalError when a product overflows or is otherwise not finite.
     """
     rv = as_rate_vector(rates)
     if not rv.is_distinct:
         raise DegenerateRatesError(
             "partial-fraction coefficients need pairwise-distinct rates; "
-            "use conv_pdf/conv_mixture, which handle clustered rates"
+            "use conv_pdf/conv_mixture, which handle repeated rates"
         )
     lam = rv.rates
-    n = len(lam)
-    if n <= _LOG_SPACE_SIZE:
-        coeffs = []
-        for i, ln in enumerate(lam):
-            prod = 1.0
-            for j, lj in enumerate(lam):
-                if j != i:
-                    prod *= lj / (lj - ln)
-            coeffs.append(prod)
-    else:
-        coeffs = []
-        for i, ln in enumerate(lam):
-            sign = 1.0 if sum(1 for lj in lam if lj < ln) % 2 == 0 else -1.0
-            log_mag = math.fsum(
-                math.log(lj) - math.log(abs(lj - ln)) for j, lj in enumerate(lam) if j != i
-            )
-            if log_mag > _LOG_DOUBLE_MAX:
-                raise NumericalError(
-                    f"coefficient magnitude exp({log_mag:.1f}) overflows double "
-                    f"precision at rate index {i}"
-                )
-            coeffs.append(sign * math.exp(log_mag))
+    coeffs = []
+    for i, ln in enumerate(lam):
+        prod = 1.0
+        for j, lj in enumerate(lam):
+            if j != i:
+                prod *= lj / (lj - ln)
+        if not math.isfinite(prod):
+            raise NumericalError(f"coefficient A_{i} = {prod!r} at rate {ln!r} is not a finite double")
+        coeffs.append(prod)
     return ConvolutionCoefficients(rates=lam, coefficients=tuple(coeffs))
 
 
@@ -222,11 +204,12 @@ def _exact_confluent_terms(mu: tuple[float, ...], mult: tuple[int, ...]) -> list
 def conv_mixture(rates: RatesLike) -> SignedExponentialMixture:
     """Signed-mixture form of the sum density.
 
-    Distinct rates give the degree-0 closed form; clustered rates contribute
-    Erlang-block terms of degree up to multiplicity - 1 (all rates equal
-    recovers the Gamma(N, rate) density exactly).  The coefficients grow
-    without bound as cross-cluster gaps shrink; sum_route decides when the
-    sum-law operations use the phase-type form instead of this mixture.
+    Distinct rates give the degree-0 closed form; each repeated rate
+    contributes Erlang-block terms of degree up to multiplicity - 1 at that
+    rate (all rates equal recovers the Gamma(N, rate) density exactly).  The
+    coefficients grow without bound as cross-cluster gaps shrink; sum_route
+    decides when the sum-law operations use the phase-type form instead of
+    this mixture.
     """
     rv = as_rate_vector(rates)
     if rv.is_distinct:
@@ -470,7 +453,8 @@ def partial_fraction_identity_check(rates: RatesLike, probe_rate: float) -> floa
     rv = as_rate_vector(rates)
     _check_rate(probe_rate, "probe rate")
     for r in rv.rates:
-        if abs(r - probe_rate) <= CLUSTER_TOLERANCE * max(r, probe_rate):
+        # the terms lambda/(lambda - mu) blow up as the probe nears a rate
+        if abs(r - probe_rate) <= 1e-9 * max(r, probe_rate):
             raise DomainError(f"probe rate {probe_rate!r} collides with rate {r!r}")
     coeffs = conv_coefficients(rv)
     left = math.fsum(

@@ -9,9 +9,9 @@ minima, maxima and ranges all land in this family, so the mixture type
 carries the shared evaluation, integration, cdf, quantile and moment
 machinery.  Signed coefficients of alternating sign are the central
 numerical hazard; every scalar reduction here therefore goes through
-compensated summation (math.fsum, an error-free transformation), and
-near-equal rates are grouped into clusters before any coefficient with a
-(lambda_j - lambda_n) denominator is formed.
+compensated summation (math.fsum, an error-free transformation).  Rates are
+taken as given: exactly repeated rates form clusters (Erlang blocks), and
+close but unequal rates keep their values.
 """
 
 from __future__ import annotations
@@ -27,11 +27,6 @@ import numpy as np
 from .errors import ContractError, DomainError, NumericalError
 
 logger = logging.getLogger(__name__)
-
-# Below this relative gap the coefficients lambda_j/(lambda_j - lambda_n)
-# exceed ~1e9 and double precision has lost all signal; merging to an exact
-# Erlang block is strictly more accurate than keeping the rates distinct.
-CLUSTER_TOLERANCE = 1e-9
 
 # Relative tolerance for merging mixture terms with coinciding rates, e.g.
 # subset sums 1+2 and 3 that agree only up to the last ulp.
@@ -152,15 +147,14 @@ def _check_points(z) -> float | np.ndarray:
 
 @dataclass(frozen=True)
 class RateVector:
-    """Validated vector of positive rates with near-equal-rate clustering.
+    """Validated vector of positive rates, with its exactly repeated rates grouped.
 
-    Clustering is canonical: indices are sorted by rate and greedily merged
-    while the relative difference to the current cluster anchor stays within
-    CLUSTER_TOLERANCE, so permuting the input produces identical clusters.
+    A cluster is the set of indices of one rate value, so permuting the input
+    produces identical clusters, and close but unequal rates stay apart.
 
     Attributes:
         rates: the rates in input order, each finite and strictly positive.
-        clusters: partition of indices 0..N-1 into groups of near-equal rates,
+        clusters: partition of indices 0..N-1 into groups of equal rates,
             ordered by increasing rate.
     """
 
@@ -176,17 +170,10 @@ class RateVector:
 
     @staticmethod
     def _cluster(rates: tuple[float, ...]) -> tuple[tuple[int, ...], ...]:
-        order = sorted(range(len(rates)), key=lambda i: (rates[i], i))
-        groups: list[list[int]] = []
-        anchor = -math.inf
-        for idx in order:
-            r = rates[idx]
-            if not groups or (r - anchor) > CLUSTER_TOLERANCE * r:
-                groups.append([idx])
-                anchor = r
-            else:
-                groups[-1].append(idx)
-        return tuple(tuple(sorted(g)) for g in groups)
+        groups: dict[float, list[int]] = {}
+        for i, r in enumerate(rates):
+            groups.setdefault(r, []).append(i)
+        return tuple(tuple(groups[r]) for r in sorted(groups))
 
     def __len__(self) -> int:
         return len(self.rates)
@@ -210,8 +197,8 @@ class RateVector:
 
     @property
     def cluster_rates(self) -> tuple[float, ...]:
-        """Representative (mean) rate per cluster, in increasing order."""
-        return tuple(math.fsum(self.rates[i] for i in g) / len(g) for g in self.clusters)
+        """The repeated rate of each cluster, in increasing order."""
+        return tuple(self.rates[g[0]] for g in self.clusters)
 
     @property
     def cluster_sizes(self) -> tuple[int, ...]:
@@ -448,19 +435,17 @@ def mixture_eval(m: SignedExponentialMixture, z: float | np.ndarray) -> float | 
     """Evaluate the mixture at z >= 0, a scalar (float result) or an array.
 
     An array goes to mixture_eval_grid.  At a scalar, term values are
-    accumulated in descending magnitude with compensated summation, so
-    alternating-sign cancellation costs no more than the rounding already
-    present in the individual terms.  A density mixture is clamped at zero:
-    a negative value there is rounding in the coefficients.
+    summed with math.fsum, which rounds the exact sum correctly in any
+    order, so alternating-sign cancellation costs no more than the rounding
+    already present in the individual terms.  A density mixture is clamped
+    at zero: a negative value there is rounding in the coefficients.
     """
     z = _check_points(z)
     if not isinstance(z, float):
         return mixture_eval_grid(m, z)
     if m.n_terms == 0:
         return 0.0
-    vals = _term_values(m.coefficients, m.degrees, m.rates, z)
-    vals = vals[np.argsort(np.abs(vals))[::-1]]
-    total = math.fsum(vals)
+    total = math.fsum(_term_values(m.coefficients, m.degrees, m.rates, z))
     return max(total, 0.0) if m.is_density else total
 
 
@@ -504,8 +489,7 @@ def mixture_integral(m: SignedExponentialMixture) -> float:
     """Exact integral over [0, inf): sum_i c_i * k_i! / rate_i^(k_i+1)."""
     if m.n_terms == 0:
         return 0.0
-    vals = _gamma_weights(m.coefficients, m.degrees, m.rates)
-    return math.fsum(vals[np.argsort(np.abs(vals))[::-1]])
+    return math.fsum(_gamma_weights(m.coefficients, m.degrees, m.rates))
 
 
 def _cdf_raw(m: SignedExponentialMixture, z: float) -> float:
@@ -592,8 +576,7 @@ def mixture_moment(m: SignedExponentialMixture, order: int) -> float:
     """Raw moment of order 1 or 2: sum_i c_i * (k_i+order)! / rate_i^(k_i+order+1)."""
     if order not in (1, 2):
         raise DomainError(f"moment order must be 1 or 2, got {order!r}")
-    vals = _gamma_weights(m.coefficients, m.degrees + order, m.rates)
-    return math.fsum(vals[np.argsort(np.abs(vals))[::-1]])
+    return math.fsum(_gamma_weights(m.coefficients, m.degrees + order, m.rates))
 
 
 def _brentq(f, xa: float, xb: float, xtol: float, rtol: float, maxiter: int) -> float:
@@ -656,16 +639,23 @@ def _brentq(f, xa: float, xb: float, xtol: float, rtol: float, maxiter: int) -> 
 def _quantile_bracket(cdf, p: float, mean: float, var: float) -> float:
     """Top of the bracket [0, top] of cdf(t) = p: mean + 40 sigma, times 1.5 until cdf(top) >= p.
 
-    Raises DomainError unless 0 < p < 1.
+    Raises DomainError unless 0 < p < 1, and NumericalError after 200
+    expansions or as soon as cdf(top) at a positive top repeats its value at
+    the previous top: the cdf has stopped moving below p.
     """
     if not (0.0 < p < 1.0):
         raise DomainError(f"quantile level must lie strictly in (0,1), got {p!r}")
     hi = mean + QUANTILE_BRACKET_SIGMAS * math.sqrt(var)
+    previous = None
     for _ in range(200):
-        if cdf(hi) >= p:
+        value = cdf(hi)
+        if value >= p:
             return hi
+        if value == previous and hi > 0.0:
+            break
+        previous = value
         hi *= 1.5
-    raise NumericalError(f"failed to bracket quantile level {p}")  # pragma: no cover - unreachable for densities
+    raise NumericalError(f"failed to bracket quantile level {p}")
 
 
 def _checked_root(root: float, cdf_at_root: float, p: float) -> float:

@@ -13,6 +13,7 @@ import pytest
 
 from expstat import (
     OrderStatisticRequest,
+    RateVector,
     conv_mixture,
     max_cdf,
     max_pdf,
@@ -20,6 +21,7 @@ from expstat import (
     order_statistic_pdf,
     sum_route,
 )
+from expstat import cli
 from expstat.cli import DEFAULT_SEED, SEED_ENV_VAR, main
 from expstat.core import mixture_eval_grid
 
@@ -335,6 +337,17 @@ def test_check_near_degenerate_exits_clean(monkeypatch):
     )
     assert code == 0, out
     assert not any(" FAIL" in ln for ln in out.strip().split("\n"))
+
+
+@pytest.mark.parametrize("rates", [(1.0, 1.0005, 2.0), (1.0, 1.000001, 2.0), (1.0, 1.000000000001, 3.0)])
+def test_check_transform_bound_follows_the_coefficients(rates):
+    # an absolute 1e-12 failed on correct code: the linear combination's rounding grows with sum |A_n|
+    for seed in range(1, 13):
+        results = []
+        cli._check_transform(RateVector(rates), seed, results)
+        [(name, passed, metric)] = results
+        assert name == "transform_equality" and passed, (seed, metric)
+        assert ", bound " in metric
 
 
 @pytest.mark.parametrize("rates", ["1,2,3", "1,1,4", "1,1.0005,2"])

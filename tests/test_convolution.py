@@ -65,7 +65,9 @@ def test_coefficients_single_rate():
 
 
 def test_coefficients_match_brute_force_products():
-    for rates in random_rate_sets(seed=11, n_sets=20, n_min=2, n_max=8):
+    # the geometric ladder has 21 rates and |A_n| up to 2.3e13
+    ladder = tuple(1.05**k for k in range(21))
+    for rates in random_rate_sets(seed=11, n_sets=20, n_min=2, n_max=8) + [ladder]:
         out = conv_coefficients(rates)
         for n, lam in enumerate(rates):
             brute = 1.0
@@ -78,8 +80,12 @@ def test_coefficients_match_brute_force_products():
 def test_coefficients_reject_clustered_rates():
     with pytest.raises(DegenerateRatesError):
         conv_coefficients((1.0, 1.0))
-    with pytest.raises(DegenerateRatesError):
-        conv_coefficients((2.0, 2.0 + 1e-12))
+    # unequal rates are distinct however close: A = (b, -a) / (b - a), about 2e12 in magnitude
+    a, b = 2.0, 2.0 + 1e-12
+    assert conv_coefficients((a, b)).coefficients == (b / (b - a), a / (a - b))
+    # 70 rates 1e-6 apart: the middle products pass the double range
+    with pytest.raises(NumericalError, match="not a finite double"):
+        conv_coefficients(tuple(1.0 + 1e-6 * k for k in range(70)))
 
 
 def test_coefficient_identities_random_sets():
@@ -94,19 +100,6 @@ def test_coefficient_identities_random_sets():
         for k in range(1, len(rates)):
             scale = float(np.max(lam)) ** k
             assert abs(math.fsum(a * lam**k)) <= tol * scale
-
-
-def test_coefficients_log_space_path_matches_direct_products():
-    # 21 rates exceeds the direct-product window; spot-check against an
-    # explicitly computed product for a geometric rate ladder
-    rates = tuple(1.05**k for k in range(21))
-    out = conv_coefficients(rates)
-    for n in (0, 10, 20):
-        brute = 1.0
-        for j, other in enumerate(rates):
-            if j != n:
-                brute *= other / (other - rates[n])
-        assert out.coefficients[n] == pytest.approx(brute, rel=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -393,10 +386,22 @@ def _assert_tail_accuracy(rates, cdf, pdf, z) -> None:
         assert abs(p - ref_pdf) <= 1e-10 * ref_pdf, (rates, x, p, ref_pdf)
 
 
+# rates closer than 1e-9 relative: no longer merged into a cluster, so they reach the chain as given
+_SUB_NANO_GAP_SETS = [
+    (1.0, 1.0 + 1e-12, 2.0),
+    (1.0, 1.0 + 3e-10, 1.0 + 6e-10, 0.5),
+    (0.3,) * 4 + (0.3 * (1.0 + 1e-13),),
+    (2.0, 2.0 * (1.0 + 1e-11), 2.0 * (1.0 - 1e-11), 1.0, 5.0),
+    (1.0, 1.0 + 1e-15, 1.0 + 2e-15),
+]
+_SUB_NANO_GAP_IDS = ["gap1e-12", "gaps3e-10", "gap1e-13", "gaps1e-11", "gaps1e-15"]
+
+
 @pytest.mark.parametrize(
     "rates",
-    [(1.0, 1.0005, 2.0, 0.7, 0.7007), tuple((1.0 + 1e-4) ** i for i in range(4)), tuple((1.0 + 1e-4) ** i for i in range(8))],
-    ids=["two-pairs", "N4-g1e-4", "N8-g1e-4"],
+    [(1.0, 1.0005, 2.0, 0.7, 0.7007), tuple((1.0 + 1e-4) ** i for i in range(4)), tuple((1.0 + 1e-4) ** i for i in range(8))]
+    + _SUB_NANO_GAP_SETS,
+    ids=["two-pairs", "N4-g1e-4", "N8-g1e-4"] + _SUB_NANO_GAP_IDS,
 )
 def test_phase_route_holds_both_tails_against_mpmath(rates):
     # the cdf is the absorbing-state entry, not 1 - survival: at 1e-3 mean the
@@ -404,19 +409,15 @@ def test_phase_route_holds_both_tails_against_mpmath(rates):
     assert sum_route(rates)[0] == "phase-type"
     z = _tail_points(rates)
     _assert_tail_accuracy(rates, conv_cdf(rates, z), conv_pdf(rates, z), z)
+    for p in (1e-3, 0.5, 1.0 - 1e-6):
+        assert abs(conv_cdf(rates, conv_quantile(rates, p)) - p) <= 1e-10
 
 
 @pytest.mark.parametrize(
     "rates",
     [tuple((1.0 + g) ** i for i in range(n)) for n, g in ((6, 1.1e-3), (8, 1e-2), (10, 1e-2), (12, 0.05), (12, 0.2))]
-    + [
-        (1.0, 1.0 + 1e-12, 2.0),
-        (1.0, 1.0 + 3e-10, 1.0 + 6e-10, 0.5),
-        (0.3,) * 4 + (0.3 * (1.0 + 1e-13),),
-        (2.0, 2.0 * (1.0 + 1e-11), 2.0 * (1.0 - 1e-11), 1.0, 5.0),
-        (1.0, 1.0 + 1e-15, 1.0 + 2e-15),
-    ],
-    ids=["N6-g1.1e-3", "N8-g1e-2", "N10-g1e-2", "N12-g0.05", "N12-g0.2", "gap1e-12", "gaps3e-10", "gap1e-13", "gaps1e-11", "gaps1e-15"],
+    + _SUB_NANO_GAP_SETS,
+    ids=["N6-g1.1e-3", "N8-g1e-2", "N10-g1e-2", "N12-g0.05", "N12-g0.2"] + _SUB_NANO_GAP_IDS,
 )
 def test_absorbing_chain_holds_both_tails_against_mpmath(rates):
     # the closed-form table families and nearly defective generators, evaluated
@@ -443,9 +444,8 @@ def test_phase_pdf_repeated_rates_matches_gamma_density():
 
 
 def test_phase_pdf_near_degenerate_within_bound():
-    # gap 1e-8 sits above the clustering tolerance, so the matrix route runs
-    # on raw nearly-defective data; agreement with the repeated-rate limit
-    # stays within 1e-8
+    # the matrix route runs on raw nearly-defective data; agreement with the
+    # repeated-rate limit stays within 1e-8
     val = conv_pdf_phase_type((1.0, 1.0 + 1e-8), 1.0)
     assert val == pytest.approx(E_INV, abs=1e-8)
 

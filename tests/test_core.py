@@ -19,6 +19,7 @@ from expstat import (
     conv_pdf_phase_type,
     ContractError,
     DomainError,
+    NumericalError,
     RateVector,
     SignedExponentialMixture,
     conv_mixture,
@@ -102,19 +103,21 @@ def test_rate_vector_rejects_empty_and_nonpositive():
         RateVector((1.0, math.nan))
 
 
-def test_clustering_groups_near_equal_rates():
-    rv = RateVector((1.0, 1.0 + 5e-10, 2.0))
-    assert not rv.is_distinct
-    assert rv.cluster_sizes == (2, 1)
-    assert rv.cluster_rates[0] == pytest.approx(1.0 + 2.5e-10, rel=1e-15)
-    assert rv.cluster_rates[1] == 2.0
+def test_clustering_groups_exact_repeats_only():
+    rv = RateVector((2.0, 1.0, 2.0, 1.0 + 1e-15, 1.0))
+    assert rv.clusters == ((1, 4), (3,), (0, 2))
+    assert rv.cluster_sizes == (2, 1, 2)
+    assert RateVector((1.0, 1.0 + 1e-15, 1.0 + 2e-15)).is_distinct
+    assert RateVector((1.0, 1.0 + 5e-10, 2.0)).cluster_rates == (1.0, 1.0 + 5e-10, 2.0)
 
 
-def test_clustering_respects_tolerance():
-    assert RateVector((1.0, 1.0 + 1e-6)).is_distinct
-    assert not RateVector((1.0, 1.0 + 1e-10)).is_distinct
-    assert RateVector((1.0, 1.0 + 1.1 * core.CLUSTER_TOLERANCE)).is_distinct
-    assert not RateVector((1.0, 1.0 + 0.9 * core.CLUSTER_TOLERANCE)).is_distinct
+def test_cluster_rate_is_the_repeated_value():
+    # the fsum mean of three copies of 0.1 is one ulp above 0.1
+    assert math.fsum([0.1] * 3) / 3 == math.nextafter(0.1, 1.0)
+    rv = RateVector((0.1, 3.0, 0.1, 0.1))
+    assert rv.cluster_sizes == (3, 1)
+    assert rv.cluster_rates[0] == 0.1
+    assert rv.cluster_rates[1] == 3.0
 
 
 def test_exactly_repeated_rates_cluster():
@@ -404,6 +407,22 @@ def test_mixture_quantile_rejects_bad_probability():
     for p in (-0.1, 0.0, 1.0, 1.1, math.nan):
         with pytest.raises(DomainError):
             mixture_quantile(mix, p)
+
+
+def test_quantile_bracket_stops_once_the_cdf_stops_moving(monkeypatch):
+    # flagged as a density, but its cdf levels off at 0.5: no bracket reaches p = 0.9
+    half = SignedExponentialMixture.from_terms([(0.5, 1.0, 0)], is_density=True)
+    calls = []
+
+    def counted(m, z):
+        calls.append(z)
+        return cdf_raw(m, z)
+
+    cdf_raw = core._cdf_raw
+    monkeypatch.setattr(core, "_cdf_raw", counted)
+    with pytest.raises(NumericalError, match="failed to bracket quantile level 0.9"):
+        mixture_quantile(half, 0.9)
+    assert 2 <= len(calls) <= 5, calls
 
 
 def _reference_cdf_raw(m, z):

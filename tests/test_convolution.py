@@ -102,6 +102,19 @@ def test_coefficient_identities_random_sets():
             assert abs(math.fsum(a * lam**k)) <= tol * scale
 
 
+def test_coefficients_log_space_path_matches_direct_products():
+    # 21 rates used to leave the direct-product window for a log-space sum;
+    # every A_n is now the direct product, checked on a geometric rate ladder
+    rates = tuple(1.05**k for k in range(21))
+    out = conv_coefficients(rates)
+    for n in (0, 10, 20):
+        brute = 1.0
+        for j, other in enumerate(rates):
+            if j != n:
+                brute *= other / (other - rates[n])
+        assert out.coefficients[n] == pytest.approx(brute, rel=1e-10)
+
+
 # ---------------------------------------------------------------------------
 # density values against frozen and independent oracles
 

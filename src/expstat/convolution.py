@@ -6,15 +6,16 @@ For pairwise-distinct rates the density has the closed form
     A_n  = prod_{j != n} lambda_j / (lambda_j - lambda_n),
 
 a signed combination whose coefficients blow up as rates approach each
-other.  Every sum-law operation takes one of three routes, chosen by
+other.  Every sum-law operation takes one of two routes, chosen by
 ``sum_route``:
 
-* ``closed-form``: distinct rates, the signed combination above;
-* ``erlang-block``: exactly repeated rates give exact Erlang blocks from a
-  confluent partial-fraction expansion (degree >= 1 terms);
-* ``phase-type``: distinct cluster rates closer than ``SWITCH_THRESHOLD``
-  (relative) are evaluated as the absorption time of a chain of N stages
-  in series plus one absorbing state.  With E = expm(Q z) for its
+* ``closed-form``: a signed mixture, either the combination above for
+  well-separated distinct rates or, when every rate is the same, the one
+  exact Gamma term;
+* ``phase-type``: every other rate vector, that is distinct rates closer
+  than ``SWITCH_THRESHOLD`` (relative) and any repeated rate beside other
+  rates, is evaluated as the absorption time of a chain of N stages in
+  series plus one absorbing state.  With E = expm(Q z) for its
   (N+1) x (N+1) generator Q, the pdf is E[0, N-1] lambda_N and the cdf is
   E[0, N].  ``expm`` here is the entrywise-accurate exponential of a
   Metzler matrix (Xue & Ye, Math. Comp. 2013), built from sums and
@@ -22,11 +23,15 @@ other.  Every sum-law operation takes one of three routes, chosen by
   accuracy whatever the gaps, and scipy.linalg is not imported; the
   route's quantiles take safeguarded Newton steps, one expm each.
 
-The rates are taken as given: close but unequal rates are not merged into
-a cluster, and their gap below ``SWITCH_THRESHOLD`` sends them to the
-phase-type route.  The rule ignores the number of rates, so the handoff is
-not continuous: at N=6 and gap 1.1e-3, just above the threshold, the closed
-form is off by relative pdf errors near 0.15.
+Repeated rates beside other rates give the confluent (Erlang-block)
+expansion of conv_mixture, whose coefficients cancel once two clusters
+meet just as those of close distinct rates do: on (0.5, 0.6, 3.0) x 4 its
+cdf is off by 9e19 relative at 1e-3 of the mean, where the chain holds
+1e-13, so those sums run on the chain at any gap.  The rates are taken as
+given: close but unequal rates are not merged into a cluster.  The gap
+rule ignores the number of rates, so the handoff is not continuous: at N=6
+and gap 1.1e-3, just above the threshold, the closed form is off by
+relative pdf errors near 0.15.
 
 The characteristic-function identities and the partial-fraction residual
 check provide cheap internal consistency tests of the same coefficients.
@@ -207,9 +212,11 @@ def conv_mixture(rates: RatesLike) -> SignedExponentialMixture:
     Distinct rates give the degree-0 closed form; each repeated rate
     contributes Erlang-block terms of degree up to multiplicity - 1 at that
     rate (all rates equal recovers the Gamma(N, rate) density exactly).  The
-    coefficients grow without bound as cross-cluster gaps shrink; sum_route
-    decides when the sum-law operations use the phase-type form instead of
-    this mixture.
+    coefficients grow without bound as cross-cluster gaps shrink, and those
+    of two or more clusters cancel at any gap once a rate repeats, so
+    conv_pdf, conv_cdf and conv_quantile evaluate this mixture only for
+    well-separated distinct rates and for a single repeated rate (sum_route);
+    it is built here for callers who ask for the mixture itself.
     """
     rv = as_rate_vector(rates)
     if rv.is_distinct:
@@ -289,27 +296,30 @@ def _absorption(q: np.ndarray, zz: float | np.ndarray) -> tuple[float | np.ndarr
     E = expm(Q z): the pdf is E[0, N-1] lambda_N and the cdf is E[0, N],
     clamped into [0, 1].  Both are entries of a Metzler exponential, so both
     tails keep their relative accuracy; the cdf is not one minus the
-    survival.  One pass over the points in sorted order carries the state
-    from each point to the next by the semigroup step state . expm(Q gap),
-    so a grid costs one matrix exponential per distinct gap (about 10-20
-    for a linspace grid) rather than one per point; a scalar is one
-    expm(Q z).  Only a gap that recurs keeps its step matrix: memory is
-    O(N^2 + points) plus at most one (N+1) x (N+1) matrix per distinct
-    recurring gap.  A non-finite state raises NumericalError.
+    survival.  A scalar reads row 0 of one expm(Q z), the identity row at
+    z = 0.  An array takes one pass over the points in sorted order, which
+    carries the state from each point to the next by the semigroup step
+    state . expm(Q gap), so a grid costs one matrix exponential per distinct
+    gap (about 10-20 for a linspace grid) rather than one per point.  Only a
+    gap that recurs keeps its step matrix: memory is O(N^2 + points) plus at
+    most one (N+1) x (N+1) matrix per distinct recurring gap.  A non-finite
+    state raises NumericalError.
     """
     n = q.shape[0] - 1
-    if isinstance(zz, float):  # numpy's sort costs about one expm per call
-        points, order, gaps = [zz], [0], [zz]
-    else:
-        points = np.ravel(zz)
-        order = np.argsort(points, kind="stable")
-        gaps = np.diff(points[order], prepend=0.0).tolist()
-        order = order.tolist()
+    if isinstance(zz, float):
+        row = expm(q * zz)[0] if zz else np.eye(1, n + 1)[0]
+        entry, cdf = float(row[n - 1]), float(row[n])
+        if not (math.isfinite(entry) and math.isfinite(cdf)):
+            raise NumericalError(f"matrix exponential produced {[entry, cdf]!r} at z={zz!r} (n={n})")
+        return _clamp_unit(cdf, "phase-type cdf"), entry * float(q[n - 1, n])
+    points = np.ravel(zz)
+    order = np.argsort(points, kind="stable")
+    gaps = np.diff(points[order], prepend=0.0).tolist()
     steps = {gap: None for gap, count in Counter(gaps).items() if count > 1}
     state = np.zeros(n + 1)
     state[0] = 1.0
     entries = np.empty((len(points), 2))  # E[0, N-1] and E[0, N] at each point
-    for i, gap in zip(order, gaps):
+    for i, gap in zip(order.tolist(), gaps):
         if gap:
             step = steps.get(gap)
             if step is None:
@@ -326,8 +336,6 @@ def _absorption(q: np.ndarray, zz: float | np.ndarray) -> tuple[float | np.ndarr
     cdf = entries[:, 1]
     for i in np.flatnonzero((cdf < 0.0) | (cdf > 1.0)):
         cdf[i] = _clamp_unit(float(cdf[i]), "phase-type cdf")
-    if isinstance(zz, float):
-        return float(cdf[0]), float(pdf[0])
     return cdf, pdf
 
 
@@ -352,14 +360,17 @@ def conv_pdf_phase_type(rates: RatesLike, z: float | np.ndarray) -> float | np.n
 def sum_route(rates: RatesLike) -> tuple[str, Union[SignedExponentialMixture, np.ndarray]]:
     """The evaluation route of the sum law and the form it evaluates; the one place it is decided.
 
-    ("phase-type", Q) with Q the absorbing generator (_absorbing_generator)
-    when the smallest cross-cluster relative gap is below SWITCH_THRESHOLD,
-    else ("closed-form" or "erlang-block", mixture).
+    ("closed-form", conv_mixture) for distinct rates whose smallest relative
+    gap is at least SWITCH_THRESHOLD and for a single repeated rate (one
+    exact Gamma term); else ("phase-type", Q) with Q the absorbing generator
+    (_absorbing_generator).  Two or more clusters with a repeated rate take
+    the chain at any gap: their Erlang-block coefficients cancel as close
+    distinct rates do (see the module docstring).
     """
     rv = as_rate_vector(rates)
-    if rv.min_cross_cluster_gap < SWITCH_THRESHOLD:
+    if rv.min_cross_cluster_gap < SWITCH_THRESHOLD or 1 < len(rv.clusters) < rv.n:
         return "phase-type", _absorbing_generator(rv)
-    return ("closed-form" if rv.is_distinct else "erlang-block"), conv_mixture(rv)
+    return "closed-form", conv_mixture(rv)
 
 
 def conv_pdf(rates: RatesLike, z: float | np.ndarray) -> float | np.ndarray:
@@ -383,8 +394,8 @@ def conv_cdf(rates: RatesLike, z: float | np.ndarray) -> float | np.ndarray:
 def conv_quantile(rates: RatesLike, p: float) -> float:
     """Inverse cdf of the sum; cdf residual at most 1e-10.
 
-    The route decides the solver.  The mixture routes solve cdf(t) = p by
-    Brent's method (mixture_quantile).  The phase-type route takes Newton
+    The route decides the solver.  The closed-form route solves cdf(t) = p
+    by Brent's method (mixture_quantile).  The phase-type route takes Newton
     steps safeguarded by bisection from the mean: one matrix exponential
     expm(Q t) gives both the cdf and the pdf (_absorption), so each step
     costs one expm (about 7 per quantile on average).

@@ -28,10 +28,6 @@ from .errors import ContractError, DomainError, NumericalError
 
 logger = logging.getLogger(__name__)
 
-# Relative tolerance for merging mixture terms with coinciding rates, e.g.
-# subset sums 1+2 and 3 that agree only up to the last ulp.
-TERM_MERGE_TOLERANCE = 1e-12
-
 # cdf values may round to just outside [0,1]; clamping inside this window is
 # routine (logged at debug), beyond it the overshoot is reported loudly.
 CDF_CLAMP_WINDOW = 1e-12
@@ -250,30 +246,23 @@ class MixtureTerm(NamedTuple):
 def _canonicalize(
     coefficients: np.ndarray, rates: np.ndarray, degrees: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sort by (rate, degree), merge terms whose rate and degree coincide.
+    """Sort by (rate, degree), merge terms whose rate and degree are exactly equal.
 
-    Rates are considered equal within TERM_MERGE_TOLERANCE relative, so subset
-    sums that differ only in the last ulp collapse to one term.  The merged
-    term keeps the smallest rate of its group; exact-zero coefficients are
-    dropped.  Ties are broken by coefficient, so the summation order inside a
-    group, and with it the rounding of the merged coefficient, does not depend
-    on the order the terms were given in.
+    Unequal rates stay apart however close they are, so the mixture is the
+    law its terms describe: a relative tolerance would fold the two terms of
+    about +-1e13 in conv_mixture((1, 1 + 1e-13, 2)) into one.  Exact-zero coefficients are dropped.  Ties are broken by coefficient, so
+    the summation order inside a group, and with it the rounding of the
+    merged coefficient, does not depend on the order the terms were given in.
     """
     if coefficients.size == 0:
         return coefficients, rates, degrees
-    # merge pass grouped by (degree, rate) so rate-adjacency is within a degree
-    order = np.lexsort((coefficients, rates, degrees))
+    order = np.lexsort((coefficients, degrees, rates))
     c, r, d = coefficients[order], rates[order], degrees[order]
-    gap = (r[1:] - r[:-1]) > TERM_MERGE_TOLERANCE * np.maximum(r[1:], r[:-1])
-    new_group = gap | (d[1:] != d[:-1])
+    new_group = (r[1:] != r[:-1]) | (d[1:] != d[:-1])
     starts = np.concatenate(([0], np.nonzero(new_group)[0] + 1))
-    c = np.add.reduceat(c, starts)
-    r = r[starts]
-    d = d[starts]
+    c, r, d = np.add.reduceat(c, starts), r[starts], d[starts]
     keep = c != 0.0
-    c, r, d = c[keep], r[keep], d[keep]
-    order = np.lexsort((d, r))
-    return c[order], r[order], d[order]
+    return c[keep], r[keep], d[keep]
 
 
 @dataclass(frozen=True, eq=False)

@@ -331,6 +331,16 @@ def test_check_reports_clusters_and_skips_identities(monkeypatch):
     assert not any(" FAIL" in ln for ln in out.strip().split("\n"))
 
 
+def test_check_oracle_triangle_holds_the_mixture_against_the_chain(monkeypatch):
+    # 1,1,2 evaluates on the chain; the triangle's mixture vertex must still be checked
+    assert sum_route((1.0, 1.0, 2.0))[0] == "phase-type"
+    monkeypatch.setattr(cli, "conv_mixture", lambda rates: conv_mixture((1.0, 1.0, 2.0 * (1.0 + 1e-6))))
+    results = []
+    cli._check_oracle_triangle(RateVector((1.0, 1.0, 2.0)), results)
+    [(name, passed, metric)] = results
+    assert name == "oracle_triangle" and passed is False, metric
+
+
 def test_check_near_degenerate_exits_clean(monkeypatch):
     code, out, _ = run_cli(
         ["check", "--rates", "1,1.000000000001,3", "--seed", "11"], monkeypatch
@@ -400,7 +410,7 @@ def test_process_exit_code_for_usage_error():
 def test_scipy_optimize_and_interpolate_stay_off_the_import_path():
     # No scipy module at all is loaded by the import, by closed-form, Erlang and order curves, by
     # sampling, by `check` (its quadrature oracle included), by the cdf of an Erlang (degree >= 1)
-    # term, scalar or on a grid, or by a quantile on the erlang-block and phase-type routes;
+    # term, scalar or on a grid, or by a quantile on either route;
     # scipy.special alone was about 0.3 s and 25 MB of a cold process.
     script = (
         "import io, sys, contextlib\n"
@@ -423,6 +433,10 @@ def test_scipy_optimize_and_interpolate_stay_off_the_import_path():
         "expstat.conv_quantile((1.0, 1.0, 2.0), 0.5)\n"
         "expstat.conv_cdf((1.0, 1.0, 2.0), 1.0)\n"
         "expstat.conv_cdf((1.0, 1.0, 2.0), np.linspace(0.0, 5.0, 101))\n"
+        "erlang = expstat.conv_mixture((1.0, 1.0, 2.0))\n"
+        "expstat.mixture_cdf(erlang, 1.0)\n"
+        "expstat.mixture_cdf(erlang, np.linspace(0.0, 5.0, 101))\n"
+        "expstat.mixture_quantile(erlang, 0.5)\n"
         "print('loaded:', *[m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])\n"
     )
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")

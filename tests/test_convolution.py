@@ -409,12 +409,25 @@ _SUB_NANO_GAP_SETS = [
 ]
 _SUB_NANO_GAP_IDS = ["gap1e-12", "gaps3e-10", "gap1e-13", "gaps1e-11", "gaps1e-15"]
 
+# a repeated rate beside other rates: the Erlang-block mixture these used to take was off by
+# 5e3 (first set), 9e17 (second), 1.0 (third) and 9e19 (fourth) relative at these points
+_CLUSTER_SETS = [
+    (0.3,) * 3 + (0.31,) * 2 + (5.0,),
+    (1.7,) * 3 + tuple(1.7 * 1.0011**i for i in range(1, 5)),
+    (1.7,) * 4 + tuple(1.7 * 1.01**i for i in range(1, 5)),
+    (0.5, 0.6, 3.0) * 4,
+    (0.2, 0.25) * 4,
+    (1.0, 1.0, 4.0),
+]
+_CLUSTER_IDS = ["0.3x3-0.31x2-5", "1.7x3-g1.1e-3", "1.7x4-g1e-2", "(0.5,0.6,3)x4", "(0.2,0.25)x4", "1-1-4"]
+
 
 @pytest.mark.parametrize(
     "rates",
     [(1.0, 1.0005, 2.0, 0.7, 0.7007), tuple((1.0 + 1e-4) ** i for i in range(4)), tuple((1.0 + 1e-4) ** i for i in range(8))]
-    + _SUB_NANO_GAP_SETS,
-    ids=["two-pairs", "N4-g1e-4", "N8-g1e-4"] + _SUB_NANO_GAP_IDS,
+    + _SUB_NANO_GAP_SETS
+    + _CLUSTER_SETS,
+    ids=["two-pairs", "N4-g1e-4", "N8-g1e-4"] + _SUB_NANO_GAP_IDS + _CLUSTER_IDS,
 )
 def test_phase_route_holds_both_tails_against_mpmath(rates):
     # the cdf is the absorbing-state entry, not 1 - survival: at 1e-3 mean the
@@ -438,6 +451,19 @@ def test_absorbing_chain_holds_both_tails_against_mpmath(rates):
     z = _tail_points(rates)
     cdf, pdf = convolution._absorption(convolution._absorbing_generator(RateVector(rates)), z)
     _assert_tail_accuracy(rates, cdf, pdf, z)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_scalar_absorption_is_the_one_point_array_bit_for_bit(n):
+    # a float reads row 0 of one expm; the array walk takes the same expm from state 0
+    rng = np.random.default_rng(n)
+    rates = tuple(rng.uniform(0.05, 20.0, n))
+    q = convolution._absorbing_generator(RateVector(rates))
+    for z in (0.0, 1e-6, 0.3, 2.0, 17.0):
+        cdf, pdf = convolution._absorption(q, z)
+        cdf_array, pdf_array = convolution._absorption(q, np.array([z]))
+        assert type(cdf) is type(pdf) is float
+        assert (cdf, pdf) == (cdf_array[0], pdf_array[0]), z
 
 
 def test_phase_pdf_matches_closed_form_distinct():
@@ -526,7 +552,12 @@ def test_dispatch_is_continuous_across_switch_threshold():
 
 @pytest.mark.parametrize(
     "rates, route",
-    [((0.5, 1.0, 4.0), "closed-form"), ((1.0, 1.0, 4.0), "erlang-block"), ((1.0, 1.0005, 2.0), "phase-type")],
+    [
+        ((0.5, 1.0, 4.0), "closed-form"),
+        ((1.0, 1.0, 4.0), "phase-type"),
+        ((1.0, 1.0005, 2.0), "phase-type"),
+        ((2.0, 2.0, 2.0), "closed-form"),
+    ],
 )
 def test_array_and_scalar_sum_law_agree_on_every_route(rates, route):
     assert sum_route(rates)[0] == route

@@ -217,6 +217,15 @@ def test_mixture_merge_does_not_depend_on_term_order():
     assert len(merged) == 1
 
 
+def test_mixture_merges_exact_ties_only():
+    # two terms of about +-1e13 one part in 1e13 apart used to fold into one, changing the law
+    assert conv_mixture((1.0, 1.0 + 1e-13, 2.0)).n_terms == 3
+    # the subset sum 1 + 2 equals 3 exactly, so its term merges with that of {3}, and they cancel
+    assert max_mixture((1.0, 2.0, 3.0)).terms == tuple(
+        MixtureTerm(c, r, 0) for c, r in ((1.0, 1.0), (2.0, 2.0), (-4.0, 4.0), (-5.0, 5.0), (6.0, 6.0))
+    )
+
+
 # ---------------------------------------------------------------------------
 # evaluation, integration, moments
 
@@ -306,8 +315,8 @@ def test_pdf_and_cdf_reject_nonfinite_and_negative_points(name, bad):
 _ARRAY_KERNELS = {
     "conv_pdf closed-form": lambda z: conv_pdf((1.0, 2.0, 3.0), z),
     "conv_cdf closed-form": lambda z: conv_cdf((1.0, 2.0, 3.0), z),
-    "conv_pdf erlang-block": lambda z: conv_pdf((1.0, 1.0, 4.0), z),
-    "conv_cdf erlang-block": lambda z: conv_cdf((1.0, 1.0, 4.0), z),
+    "conv_pdf erlang-block": lambda z: conv_pdf((2.0, 2.0, 2.0), z),
+    "conv_cdf erlang-block": lambda z: conv_cdf((2.0, 2.0, 2.0), z),
     "conv_pdf phase-type": lambda z: conv_pdf((1.0, 1.0005, 2.0), z),
     "conv_cdf phase-type": lambda z: conv_cdf((1.0, 1.0005, 2.0), z),
     "conv_pdf_phase_type": lambda z: conv_pdf_phase_type((1.0, 2.0, 3.0), z),

@@ -38,7 +38,7 @@ from .convolution import (
     partial_fraction_identity_check,
     sum_route,
 )
-from .core import RatesLike, RateVector, _term_values, as_rate_vector, mixture_eval, mixture_integral
+from .core import GRID_BLOCK, RatesLike, RateVector, _term_values, as_rate_vector, mixture_eval, mixture_integral
 from .errors import CapacityError, DegenerateRatesError, DomainError, ExpstatError
 from .montecarlo import (
     factorization_test,
@@ -98,8 +98,17 @@ class CurveRequest:
             OrderStatisticRequest(self.rates, int(self.r))
 
 
-def _fmt(value: float) -> str:
-    return format(float(value), ".17g")
+def _write_rows(out, header: str, table: np.ndarray) -> None:
+    """Write the header, then each row of the (rows, columns) table as comma-separated %.17g values.
+
+    One %-format per GRID_BLOCK rows, so the text held at once is O(GRID_BLOCK)
+    rows; %.17g gives the characters of format(v, ".17g").
+    """
+    out.write(header + "\n")
+    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    for start in range(0, table.shape[0], GRID_BLOCK):
+        rows = table[start : start + GRID_BLOCK]
+        out.write((row * rows.shape[0]) % tuple(rows.ravel().tolist()))
 
 
 def _curve_values(req: CurveRequest, zz: np.ndarray) -> np.ndarray:
@@ -127,10 +136,7 @@ def cmd_curve(req: CurveRequest, out=None) -> int:
     """Write the requested curve as ``z,value`` CSV to standard output."""
     out = out if out is not None else sys.stdout
     zz = np.linspace(req.z_min, req.z_max, req.points)
-    values = _curve_values(req, zz)
-    lines = ["z,value"]
-    lines.extend(f"{_fmt(z)},{_fmt(v)}" for z, v in zip(zz, values))
-    out.write("\n".join(lines) + "\n")
+    _write_rows(out, "z,value", np.column_stack((zz, _curve_values(req, zz))))
     return 0
 
 
@@ -142,7 +148,11 @@ def cmd_sample(
     seed: int,
     out=None,
 ) -> int:
-    """Write seeded draws of the requested statistic, one value per row."""
+    """Write seeded draws of the requested statistic, one value per row.
+
+    Memory is O(count x N): the sampler's draw matrix, its reduced values and
+    GRID_BLOCK rows of text at a time.
+    """
     out = out if out is not None else sys.stdout
     rv = as_rate_vector(rates)
     if statistic == "sum":
@@ -155,9 +165,7 @@ def cmd_sample(
         batch = sample_order(rv, int(r), count, seed)
     else:
         raise DomainError(f"statistic must be one of {_STATISTICS}, got {statistic!r}")
-    lines = ["value"]
-    lines.extend(_fmt(v) for v in batch.values)
-    out.write("\n".join(lines) + "\n")
+    _write_rows(out, "value", batch.values[:, None])
     return 0
 
 

@@ -118,10 +118,18 @@ def max_pdf(rates: RatesLike, z: float | np.ndarray) -> float | np.ndarray:
 
 
 def max_cdf(rates: RatesLike, z: float | np.ndarray) -> float | np.ndarray:
-    """P(max <= z) = prod_n (1 - exp(-lambda_n z)) at a scalar or an array z; stable for any N."""
-    lam = np.asarray(as_rate_vector(rates).rates)
+    """P(max <= z) = prod_n (1 - exp(-lambda_n z)) at a scalar or an array z; stable for any N.
+
+    The product multiplies in one row of points per rate, in rate order, which
+    gives the bits of np.prod over an (points, N) matrix without its short
+    reduction per point; memory is O(points).
+    """
+    lam = as_rate_vector(rates).rates
     zz = _check_points(z)
-    values = np.prod(-np.expm1(-lam[None, :] * np.atleast_1d(zz)[:, None]), axis=1)
+    points = np.atleast_1d(zz)
+    values = -np.expm1(-lam[0] * points)
+    for rate in lam[1:]:
+        values *= -np.expm1(-rate * points)
     return float(values[0]) if isinstance(zz, float) else values
 
 

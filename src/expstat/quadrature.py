@@ -13,8 +13,10 @@ The slopes are exact, so no spline system is solved.  The first density
 lambda_1 e^{-lambda_1 z} has slope -lambda_1 f, and each convolution
 g = f * Exp(lambda), g(z) = int_0^z f(s) lambda e^{-lambda (z - s)} ds,
 has g' = lambda (f - g), which the node values of f and g give.  The
-incomplete gamma values P(m, x), m = 1..4, come from core.gammainc, which
-the Erlang-term cdfs use too.
+incomplete gamma values P(m, x), m = 1..4, come from one core.gammainc call
+per level, which the Erlang-term cdfs use too, and a downward recurrence of
+non-negative terms.  The convolution recurrence runs as scaled cumulative
+products and sums over blocks of nodes, not a Python loop per node.
 
 It is a verification tool, not a hot path: the closed-form and phase-type
 evaluations are checked against it in tests and in the ``check`` command.
@@ -38,6 +40,10 @@ H_REL = 0.012
 CUTOFF = 45.0
 
 _MAX_FINE_NODES = 4000
+
+# Largest decay sum rate*dx over one block of convolve_exponential's recurrence:
+# e^-600 is a normal double, and 1 / e^-600 leaves room below the overflow at e^709.
+_BLOCK_DECAY = 600.0
 
 
 def build_grid(rates: RatesLike, z_max: float) -> np.ndarray:
@@ -65,7 +71,8 @@ def build_grid(rates: RatesLike, z_max: float) -> np.ndarray:
         if z_max > t_geo_end:
             n_tail = int(math.ceil((z_max - t_geo_end) / (H_REL / lmin)))
             nodes.append(np.linspace(t_geo_end, z_max, n_tail + 1))
-    grid = np.unique(np.concatenate(nodes))
+    grid = np.sort(np.concatenate(nodes))
+    grid = grid[np.concatenate(([True], grid[1:] != grid[:-1]))]
     return grid[grid <= z_max * (1.0 + 1e-12)]
 
 
@@ -81,9 +88,10 @@ def convolve_exponential(
 
     where q_i(u) = p_i(dx_i - u) is the segment's Hermite cubic read from its
     right end: q_i(0) = f(x_{i+1}), q_i'(0) = -f'(x_{i+1}).  The segment
-    integrals reduce to regularized lower incomplete gamma values, so each
-    level is exact up to interpolation error.  Returns g and its exact node
-    slopes rate (f - g).
+    integrals reduce to regularized lower incomplete gamma values, one
+    gammainc call per level, so each level is exact up to interpolation error.
+    The recurrence runs in blocks of nodes (_decaying_recurrence), not in a
+    Python loop per node.  Returns g and its exact node slopes rate (f - g).
     """
     d = np.diff(grid)
     x = rate * d
@@ -95,21 +103,48 @@ def convolve_exponential(
     q1 = -m1
     q2 = (m0 + 2.0 * m1 - 3.0 * secant) / d
     q3 = (2.0 * secant - m0 - m1) / d**2
-    # int_0^d u^m rate e^{-rate u} du = (m! / rate^m) P(m+1, rate*d)
-    beta = (
-        q0 * gammainc(1, x)
-        + q1 * (1.0 / rate) * gammainc(2, x)
-        + q2 * (2.0 / rate**2) * gammainc(3, x)
-        + q3 * (6.0 / rate**3) * gammainc(4, x)
-    )
-    alpha = np.exp(-x)
-    out = np.empty_like(values)
-    out[0] = 0.0
-    acc = 0.0
-    for i, (a, b) in enumerate(zip(alpha.tolist(), beta.tolist())):
-        acc = acc * a + b
-        out[i + 1] = acc
+    # int_0^d u^m rate e^{-rate u} du = (m! / rate^m) P(m+1, rate*d), with P(m, x) =
+    # P(m+1, x) + x^m e^{-x} / m! below P(4, x): non-negative terms, so no cancellation
+    t1 = x * np.exp(-x)
+    t2 = t1 * x / 2.0
+    p4 = gammainc(4, x)
+    p3 = p4 + t2 * x / 3.0
+    p2 = p3 + t2
+    p1 = p2 + t1
+    beta = q0 * p1 + q1 * (1.0 / rate) * p2 + q2 * (2.0 / rate**2) * p3 + q3 * (6.0 / rate**3) * p4
+    out = _decaying_recurrence(x, beta)
     return out, rate * (values - out)
+
+
+def _decaying_recurrence(x: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """g_0 = 0 and g_{i+1} = e^{-x_i} g_i + beta_i for x_i >= 0, in blocks of nodes.
+
+    A block of steps s..e-1 whose decay sum x_s + ... + x_{e-1} stays within
+    _BLOCK_DECAY takes g_k = P_k (g_s + sum_{s<=j<k} beta_j / P_{j+1}), where
+    P_k is the running product of the e^{-x_i} from s: a cumulative product,
+    a cumulative sum and two passes.  P_k >= e^-600 stays a normal double,
+    and a ratio P_k / P_{j+1} carries the rounding of the steps between j
+    and k only, as the step-by-step loop does.  A block of one step, as every
+    step decaying more than _BLOCK_DECAY by itself is, is taken directly,
+    g = e^{-x} g + beta, which is beta once e^{-x} underflows.
+    """
+    alpha = np.exp(-x)
+    decay = np.concatenate(([0.0], np.cumsum(x)))
+    # the last node a block starting at each node may reach
+    reach = (np.searchsorted(decay, decay[:-1] + _BLOCK_DECAY, side="right") - 1).tolist()
+    out = np.empty(x.size + 1)
+    out[0] = 0.0
+    s = 0
+    while s < x.size:
+        e = reach[s]
+        if e <= s + 1:
+            out[s + 1] = alpha[s] * out[s] + beta[s]
+            s += 1
+        else:
+            run = np.cumprod(alpha[s:e])
+            out[s + 1 : e + 1] = run * (out[s] + np.cumsum(beta[s:e] / run))
+            s = e
+    return out
 
 
 def _hermite(grid: np.ndarray, values: np.ndarray, slopes: np.ndarray, z: np.ndarray) -> np.ndarray:

@@ -15,10 +15,12 @@ from expstat import (
     OrderStatisticRequest,
     RateVector,
     conv_mixture,
+    conv_pdf,
     max_cdf,
     max_pdf,
     order_statistic_cdf,
     order_statistic_pdf,
+    sample_sum,
     sum_route,
 )
 from expstat import cli
@@ -225,6 +227,23 @@ def test_sample_deterministic_given_seed(monkeypatch):
     assert header == "value"
     assert len(rows) == 64
     assert all(v[0] > 0.0 for v in rows)
+
+
+@pytest.mark.parametrize("count", [1, 2, 8191, 8192, 8193, 100_000])
+def test_csv_blocks_match_per_row_formatting(count):
+    # the rows are written GRID_BLOCK at a time; the text is that of one format(v, ".17g") per value
+    rates = (0.3, 1.0, 2.5)
+    out = io.StringIO()
+    assert cli.cmd_sample("sum", rates, None, count, 31, out=out) == 0
+    draws = sample_sum(rates, count, 31).values
+    assert out.getvalue() == "\n".join(["value"] + [format(v, ".17g") for v in draws]) + "\n"
+    if count < 2:
+        return
+    out = io.StringIO()
+    assert cli.cmd_curve(cli.CurveRequest("sum", rates, None, 0.0, 12.0, count, "pdf"), out=out) == 0
+    zz = np.linspace(0.0, 12.0, count)
+    rows = [f"{format(z, '.17g')},{format(v, '.17g')}" for z, v in zip(zz, conv_pdf(rates, zz))]
+    assert out.getvalue() == "\n".join(["z,value"] + rows) + "\n"
 
 
 def test_sample_env_seed_matches_explicit_flag(monkeypatch):
@@ -438,6 +457,28 @@ def test_scipy_optimize_and_interpolate_stay_off_the_import_path():
         "expstat.mixture_cdf(erlang, np.linspace(0.0, 5.0, 101))\n"
         "expstat.mixture_quantile(erlang, 0.5)\n"
         "print('loaded:', *[m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["loaded:"]
+
+
+def test_cli_commands_leave_numpy_ma_unloaded():
+    # np.quantile and np.unique import numpy.ma, about 20 ms and 4.5 MB of a cold process
+    script = (
+        "import io, sys, contextlib\n"
+        "import expstat.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    for argv in (\n"
+        "        ['curve', '--stat', 'sum', '--rates', '1,2,3', '--points', '11'],\n"
+        "        ['sample', '--stat', 'sum', '--rates', '1,2,3', '--count', '1000'],\n"
+        "        ['check', '--rates', '1,2'],\n"
+        "        ['check', '--rates', '1,2,3'],\n"
+        "    ):\n"
+        "        assert expstat.cli.main(argv) == 0, argv\n"
+        "print('loaded:', *[m for m in sys.modules if m == 'numpy.ma' or m.startswith('numpy.ma.')])\n"
     )
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=src)

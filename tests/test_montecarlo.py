@@ -24,7 +24,7 @@ from expstat import (
     sample_sum,
 )
 from expstat.core import ExponentialLaw
-from expstat.montecarlo import make_stream
+from expstat.montecarlo import _linear_quantiles, _margin_cells, make_stream
 
 
 # ---------------------------------------------------------------------------
@@ -182,13 +182,27 @@ def test_ks_single_observation_statistic():
 
 
 def test_ks_false_failure_rate_is_calibrated():
-    # 200 correct-law batches at alpha = 0.01: expect ~2 failures, allow 5
-    failures = 0
-    for seed in range(200):
-        batch = sample_min((1.0, 3.0), 10_000, seed=seed, stream_id=4)
-        report = ks_test(batch, lambda z: min_cdf((1.0, 3.0), float(z)))
-        failures += 0 if report.passed else 1
-    assert failures <= 5
+    # 200 correct-law batches at alpha = 0.01: expect ~2 failures, allow 5; the minimum of two
+    # rates through a scalar cdf, and the maximum of eight through max_cdf on the whole batch
+    rates = (0.3, 0.7, 1.0, 1.9, 2.5, 4.4, 8.0, 9.5)
+    for sampler, cdf in (
+        (lambda seed: sample_min((1.0, 3.0), 10_000, seed=seed, stream_id=4), lambda z: min_cdf((1.0, 3.0), float(z))),
+        (lambda seed: sample_max(rates, 10_000, seed=seed, stream_id=2), lambda z: max_cdf(rates, z)),
+    ):
+        failures = 0
+        for seed in range(200):
+            failures += 0 if ks_test(sampler(seed), cdf).passed else 1
+        assert failures <= 5
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_ks_rejects_non_finite_draws(bad):
+    # a cdf that does not check its points would turn the statistic into NaN
+    values = -np.log1p(-make_stream(114, 0).random(10_000))
+    values[17] = bad
+    batch = SampleBatch(values, seed=114, stream_id=0, count=10_000)
+    with pytest.raises(DomainError):
+        ks_test(batch, lambda x: -np.expm1(-x))
 
 
 def test_ks_rejects_non_monotone_reference():
@@ -244,3 +258,32 @@ def test_factorization_requires_enough_pairs():
 def test_factorization_rejects_bad_shape():
     with pytest.raises(DomainError):
         factorization_test(np.zeros((10_000, 3)))
+
+
+@pytest.mark.parametrize("column", [0, 1])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_factorization_rejects_non_finite_pairs(column, bad):
+    pairs = make_stream(115, 0).random((10_000, 2))
+    pairs[5_000, column] = bad
+    with pytest.raises(DomainError):
+        factorization_test(pairs)
+
+
+@pytest.mark.parametrize("n", [10_000, 200_000, 200_001])
+@pytest.mark.parametrize("ties", [False, True])
+def test_factorization_is_np_quantile_and_searchsorted_bit_for_bit(n, ties):
+    pairs = sample_min_range_pairs(0.4, 2.5, n, seed=116)
+    if ties:
+        pairs = np.round(pairs, 2)
+    m = 10
+    qs = np.arange(1, m + 1) / (m + 1)
+    for x in (np.ascontiguousarray(pairs[:, 0]), np.ascontiguousarray(pairs[:, 1])):
+        thresholds = np.quantile(x, qs)
+        assert _linear_quantiles(x, qs).tobytes() == thresholds.tobytes()
+        assert np.array_equal(_margin_cells(x, qs), np.searchsorted(thresholds, x, side="left"))
+    bu = np.searchsorted(np.quantile(pairs[:, 0], qs), pairs[:, 0], side="left")
+    bv = np.searchsorted(np.quantile(pairs[:, 1], qs), pairs[:, 1], side="left")
+    counts = np.bincount(bu * (m + 1) + bv, minlength=(m + 1) ** 2).reshape(m + 1, m + 1)
+    cum = counts.cumsum(axis=0).cumsum(axis=1) / n
+    expected = float(np.max(np.abs(cum[:m, :m] - np.outer(cum[:m, m], cum[m, :m]))))
+    assert factorization_test(pairs).max_deviation == expected

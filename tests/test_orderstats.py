@@ -80,6 +80,17 @@ def test_max_cdf_frozen_value():
     assert max_cdf((1.0, 2.0), 0.0) == 0.0
 
 
+@pytest.mark.parametrize("n", range(1, 13))
+def test_max_cdf_is_the_row_product_bit_for_bit(n):
+    # the reference: np.prod over the (points, N) matrix of factors
+    rng = np.random.default_rng(100 + n)
+    lam = np.exp(rng.uniform(np.log(0.05), np.log(20.0), size=n))
+    for z in (np.array([0.7]), rng.uniform(0.0, 10.0, 4001), rng.uniform(0.0, 10.0, 100_000)):
+        expected = np.prod(-np.expm1(-lam[None, :] * z[:, None]), axis=1)
+        assert max_cdf(lam, z).tobytes() == expected.tobytes()
+    assert max_cdf(lam, 0.7) == float(np.prod(-np.expm1(-lam[None, :] * 0.7), axis=1)[0])
+
+
 def test_max_cdf_single_rate_is_exponential():
     assert max_cdf((2.0,), 0.7) == pytest.approx(-math.expm1(-1.4), rel=1e-15)
 

@@ -7,6 +7,7 @@ import pytest
 from conftest import random_rate_sets
 from expstat import sum_pdf_quadrature
 from expstat.core import gammainc
+from expstat.quadrature import _BLOCK_DECAY, _decaying_recurrence, _hermite, build_grid
 
 
 def _mp_sum_pdf(rates, z):
@@ -48,3 +49,55 @@ def test_lower_gamma_matches_mpmath(m):
         ref = [mpmath.gammainc(m, 0, mpmath.mpf(v), regularized=True) for v in x[1:].tolist()]
     worst = max(float(abs(g / r - 1)) for g, r in zip(got[1:].tolist(), ref))
     assert worst <= 5e-14, worst
+
+
+def _loop_recurrence(x, beta):
+    """g_0 = 0 and g_{i+1} = e^{-x_i} g_i + beta_i, one node at a time."""
+    out = [0.0]
+    for a, b in zip(np.exp(-x).tolist(), beta.tolist()):
+        out.append(out[-1] * a + b)
+    return np.array(out)
+
+
+def _loop_quadrature(rates, z):
+    """The iterated convolution with four incomplete gamma calls per level and the per-node loop."""
+    ordered = sorted(rates, reverse=True)
+    grid = build_grid(rates, float(np.max(z)))
+    values = ordered[0] * np.exp(-ordered[0] * grid)
+    slopes = -ordered[0] * values
+    for rate in ordered[1:]:
+        d = np.diff(grid)
+        x = rate * d
+        secant = (values[1:] - values[:-1]) / d
+        q2 = (slopes[:-1] + 2.0 * slopes[1:] - 3.0 * secant) / d
+        q3 = (2.0 * secant - slopes[:-1] - slopes[1:]) / d**2
+        beta = (
+            values[1:] * gammainc(1, x)
+            - slopes[1:] / rate * gammainc(2, x)
+            + q2 * (2.0 / rate**2) * gammainc(3, x)
+            + q3 * (6.0 / rate**3) * gammainc(4, x)
+        )
+        out = _loop_recurrence(x, beta)
+        values, slopes = out, rate * (values - out)
+    return _hermite(grid, values, slopes, z)
+
+
+# each set's first convolution decays over at least three blocks; the last has single
+# steps decaying past e^-709 in its tail, which overflow a block's scaled sum
+LOOP_SETS = [(0.05, 30.0, 40.0), (0.02, 0.3, 3.0, 25.0, 90.0), (1e-5, 10.0, 10.5)]
+
+
+@pytest.mark.parametrize("rates", LOOP_SETS)
+def test_blocked_recurrence_matches_the_per_node_loop(rates):
+    mean = sum(1.0 / r for r in rates)
+    grid = build_grid(rates, 5.0 * mean)
+    x = sorted(rates)[-2] * np.diff(grid)
+    assert x.sum() >= 3 * _BLOCK_DECAY
+    beta = np.random.default_rng(17).uniform(0.0, 1.0, x.size) * x
+    got, ref = _decaying_recurrence(x, beta), _loop_recurrence(x, beta)
+    assert np.all(np.isfinite(got))
+    assert got[0] == 0.0 and np.max(np.abs(got[1:] - ref[1:]) / ref[1:]) <= 1e-12
+    z = np.linspace(0.02 * mean, 5.0 * mean, 30)
+    quad, loop = sum_pdf_quadrature(rates, z), _loop_quadrature(rates, z)
+    assert np.all(np.isfinite(quad))
+    assert np.max(np.abs(quad - loop) / np.abs(loop)) <= 1e-12

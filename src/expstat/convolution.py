@@ -409,11 +409,23 @@ def conv_quantile(rates: RatesLike, p: float) -> float:
 
 
 def conv_moments(rates: RatesLike) -> tuple[float, float]:
-    """(mean, variance) of the sum: sum 1/lambda_n and sum 1/lambda_n^2."""
+    """(mean, variance) of the sum: sum 1/lambda_n and sum 1/lambda_n^2.
+
+    Raises CapacityError when either leaves the double range: a sum past it
+    (fsum's OverflowError), lambda_n^2 underflowing to 0, or 1/lambda_n^2
+    overflowing to inf.
+    """
     rv = as_rate_vector(rates)
-    mean = math.fsum(1.0 / r for r in rv.rates)
-    var = math.fsum(1.0 / (r * r) for r in rv.rates)
-    return mean, var
+    try:
+        mean = math.fsum(1.0 / r for r in rv.rates)
+        var = math.fsum(1.0 / (r * r) for r in rv.rates)
+        if var < math.inf:
+            return mean, var
+    except (OverflowError, ZeroDivisionError):
+        pass
+    raise CapacityError(
+        f"the mean and variance of a sum with rates down to {min(rv.rates)!r} lie outside the double range"
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from typing import Iterable, NamedTuple, Sequence, Union
 
 import numpy as np
 
-from .errors import ContractError, DomainError, NumericalError
+from .errors import CapacityError, ContractError, DomainError, NumericalError
 
 logger = logging.getLogger(__name__)
 
@@ -183,8 +183,17 @@ class RateVector:
 
     @property
     def total(self) -> float:
-        """Sum of all rates (the rate of the minimum)."""
-        return math.fsum(self.rates)
+        """Sum of all rates (the rate of the minimum), correctly rounded by math.fsum.
+
+        Raises CapacityError when the sum leaves the double range, where
+        fsum raises OverflowError.
+        """
+        try:
+            return math.fsum(self.rates)
+        except OverflowError:
+            raise CapacityError(
+                f"the sum of {self.n} rates up to {max(self.rates)!r} lies outside the double range"
+            ) from None
 
     @property
     def is_distinct(self) -> bool:
@@ -392,13 +401,16 @@ def _term_values(c, k, lam, z) -> np.ndarray:
     """The terms c z^k exp(-lam z), broadcast over the arguments.
 
     A term that overflows on the way (z^k = inf, and inf * 0 = NaN) is formed
-    again as c exp(k log z - lam z); every finite term keeps its bits.
+    again as c exp(k log z - lam z); every finite term keeps its bits.  The
+    first pass runs with numpy's floating-point warnings off, since the
+    second handles what they would report.
     """
-    vals = c * np.power(z, k) * np.exp(-lam * z)
-    if not math.isfinite(vals.sum()):
-        redo = ~np.isfinite(vals)
-        c, k, lam, z = (np.broadcast_to(v, vals.shape)[redo] for v in (c, k, lam, z))
-        vals[redo] = c * np.exp(k * np.log(z) - lam * z)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        vals = c * np.power(z, k) * np.exp(-lam * z)
+        if not math.isfinite(vals.sum()):
+            redo = ~np.isfinite(vals)
+            c, k, lam, z = (np.broadcast_to(v, vals.shape)[redo] for v in (c, k, lam, z))
+            vals[redo] = c * np.exp(k * np.log(z) - lam * z)
     return vals
 
 
@@ -407,12 +419,15 @@ def _gamma_weights(c: np.ndarray, k: np.ndarray, lam: np.ndarray) -> np.ndarray:
 
     A weight whose product as written leaves the double range (k! past k = 170,
     c k! or lam^(k+1) overflowing, lam^(k+1) underflowing to 0) is formed again
-    from logarithms; every other weight keeps the bits of the product.
+    from logarithms; every other weight keeps the bits of the product.  Both
+    passes run with numpy's floating-point warnings off: the first pass's
+    overflows are what the second handles, and a weight outside the double
+    range comes out infinite.
     """
-    power = lam ** (k + 1)
-    w = c * factorial(k) / power
-    if not math.isfinite(w @ power):  # an out-of-range weight or power gives inf, or inf * 0 = NaN
-        with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        power = lam ** (k + 1)
+        w = c * factorial(k) / power
+        if not math.isfinite(w @ power):  # an out-of-range weight or power gives inf, or inf * 0 = NaN
             redo = ~np.isfinite(w * power)
             c, k, lam = c[redo], k[redo], lam[redo]
             log_fact = np.array([math.log(math.factorial(v)) for v in k.tolist()])

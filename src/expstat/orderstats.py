@@ -120,17 +120,22 @@ def max_pdf(rates: RatesLike, z: float | np.ndarray) -> float | np.ndarray:
 def max_cdf(rates: RatesLike, z: float | np.ndarray) -> float | np.ndarray:
     """P(max <= z) = prod_n (1 - exp(-lambda_n z)) at a scalar or an array z; stable for any N.
 
-    The product multiplies in one row of points per rate, in rate order, which
-    gives the bits of np.prod over an (points, N) matrix without its short
-    reduction per point; memory is O(points).
+    Both paths multiply the factors in rate order, which gives the bits of
+    np.prod over a (points, N) matrix.  An array multiplies in one row of
+    points per rate, without np.prod's short reduction per point, so memory
+    is O(points).  A scalar takes its N factors from one np.expm1 call over
+    the rates (math.expm1 differs from numpy's in the last bit on a few
+    percent of arguments) and multiplies them as Python floats with math.prod.
     """
-    lam = as_rate_vector(rates).rates
+    rv = as_rate_vector(rates)
     zz = _check_points(z)
-    points = np.atleast_1d(zz)
-    values = -np.expm1(-lam[0] * points)
+    if isinstance(zz, float):
+        return math.prod((-np.expm1(-np.asarray(rv.rates) * zz)).tolist())
+    lam = rv.rates
+    values = -np.expm1(-lam[0] * zz)
     for rate in lam[1:]:
-        values *= -np.expm1(-rate * points)
-    return float(values[0]) if isinstance(zz, float) else values
+        values *= -np.expm1(-rate * zz)
+    return values
 
 
 def range2_mixture(rate_1: float, rate_2: float) -> SignedExponentialMixture:
@@ -178,25 +183,33 @@ def _check_scalar_point(z) -> float:
 
 
 def order_statistic_cdf(req: OrderStatisticRequest, z: float) -> float:
-    """P(X_(r) <= z) as the Poisson-binomial tail P(at least r of {X_n <= z}) at a scalar z.
+    """P(X_(r) <= z) at a scalar z.
 
-    Dynamic programming over the independent Bernoulli indicators, O(N^2)
-    per point; reduces to min_cdf at r=1 and to max_cdf at r=N.  The DP runs
-    on Python floats: numpy's per-operation overhead dominates on the N+1
-    entries of one point, so this is 3-5x faster than array slices at
-    N <= 12, and slower beyond N near 130.  Entries above the number m of
-    indicators folded in so far are exact zeros and are skipped, so the
-    result is the same bit for bit as the all-entries recurrence.
+    The extremes take their closed forms: r=N (N=1 included) is max_cdf's
+    product, the bits of the DP below, and r=1 is min_cdf, within a few ulp
+    of it.  Other orders take the Poisson-binomial tail P(at least r of
+    {X_n <= z}) by dynamic programming over the independent Bernoulli
+    indicators, O(N^2) per point.  The DP runs on Python floats: numpy's
+    per-operation overhead dominates on the N+1 entries of one point, so
+    this is 3-5x faster than array slices at N <= 12, and slower beyond N
+    near 130.  Entries above the number m of indicators folded in so far
+    are exact zeros and are skipped, so the result is the same bit for bit
+    as the all-entries recurrence.
     """
-    rv = req.rates
+    rv, r = req.rates, req.r
     z = _check_scalar_point(z)
-    dp = [1.0] + [0.0] * rv.n
+    n = len(rv.rates)
+    if r == n:
+        return max_cdf(rv, z)
+    if r == 1:
+        return min_cdf(rv, z)
+    dp = [1.0] + [0.0] * n
     for m, pn in enumerate((-np.expm1(-np.asarray(rv.rates) * z)).tolist(), start=1):
         qn = 1.0 - pn
         for k in range(m, 0, -1):
             dp[k] = dp[k] * qn + dp[k - 1] * pn
         dp[0] *= qn
-    return min(1.0, math.fsum(dp[req.r :]))
+    return min(1.0, math.fsum(dp[r:]))
 
 
 def order_statistic_pdf(req: OrderStatisticRequest, z: float) -> float:
@@ -227,8 +240,12 @@ def order_statistic_pdf(req: OrderStatisticRequest, z: float) -> float:
 
 
 def min_cdf(rates: RatesLike, z: float | np.ndarray) -> float | np.ndarray:
-    """P(min <= z) = 1 - exp(-z sum_n lambda_n) at a scalar or an array z, via expm1."""
-    rate = min_law(rates).rate
+    """P(min <= z) = 1 - exp(-z sum_n lambda_n) at a scalar or an array z, via expm1.
+
+    The summed rate is RateVector.total, which raises CapacityError when it
+    leaves the double range.
+    """
+    rate = as_rate_vector(rates).total
     zz = _check_points(z)
     if isinstance(zz, float):
         return -math.expm1(-rate * zz)

@@ -183,6 +183,7 @@ def _mp_gamma_law(n, rate, z=None, p=None):
         return lam**n * z ** (n - 1) * mpmath.exp(-lam * z) / mpmath.factorial(n - 1), mpmath.gammainc(n, 0, lam * z, regularized=True)
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("n, rate", [(172, 1.0), (120, 1000.0), (120, 0.001)])
 def test_erlang_block_coefficients_outside_the_double_range(n, rate):
     # the one coefficient rate^n / (n-1)! is 8e-310 (subnormal), 1.8e163 and 1.8e-557: the normal
@@ -206,6 +207,7 @@ def test_erlang_block_coefficients_outside_the_double_range(n, rate):
         assert abs(call() / refs[name] - 1) <= 1e-10, name
 
 
+@pytest.mark.filterwarnings("error")
 def test_erlang_pdf_stays_finite_where_the_power_overflows():
     # z^k overflows: inf * exp(-z) = inf * 0 was NaN from z = 1e155 for (1, 1, 1), and
     # z^149 / 149! at z = 150 was inf
@@ -611,6 +613,20 @@ def test_conv_moments_values():
     mean1, var1 = conv_moments((4.0,))
     assert mean1 == 0.25
     assert var1 == 0.0625
+
+
+def test_conv_moments_outside_the_double_range_raise_capacity_error():
+    # the sum 1e308 + 1e308 overflows, 1e-200^2 underflows to 0, and 1/1e-160^2 overflows to inf
+    for rates in ((1e-308, 1e-308), (1e-200,), (1e-160,), (1.0, 1e-160)):
+        with pytest.raises(CapacityError, match="double range"):
+            conv_moments(rates)
+    # the phase route brackets its quantile from the moments
+    assert sum_route((1e-200, 1e-200, 2e-200))[0] == "phase-type"
+    with pytest.raises(CapacityError, match="double range"):
+        conv_quantile((1e-200, 1e-200, 2e-200), 0.5)
+    # a finite result keeps the bits of the formulas
+    rates = (1e-150, 3e-150, 7.0)
+    assert conv_moments(rates) == (math.fsum(1.0 / r for r in rates), math.fsum(1.0 / (r * r) for r in rates))
 
 
 @settings(deadline=None, max_examples=25)

@@ -80,15 +80,22 @@ def test_max_cdf_frozen_value():
     assert max_cdf((1.0, 2.0), 0.0) == 0.0
 
 
-@pytest.mark.parametrize("n", range(1, 13))
+@pytest.mark.parametrize("n", range(1, 21))
 def test_max_cdf_is_the_row_product_bit_for_bit(n):
     # the reference: np.prod over the (points, N) matrix of factors
     rng = np.random.default_rng(100 + n)
     lam = np.exp(rng.uniform(np.log(0.05), np.log(20.0), size=n))
-    for z in (np.array([0.7]), rng.uniform(0.0, 10.0, 4001), rng.uniform(0.0, 10.0, 100_000)):
+    mean = float(np.sum(1.0 / lam))
+    # the scalar path at z = 0, 1e-300, the lower tail, the body and the upper tail
+    points = np.array([0.0, 1e-300, 1e-12 * mean, 0.7, mean, 60.0 * mean, 1e4 * mean])
+    for z in (points, rng.uniform(0.0, 10.0, 4001), rng.uniform(0.0, 10.0, 100_000)):
         expected = np.prod(-np.expm1(-lam[None, :] * z[:, None]), axis=1)
         assert max_cdf(lam, z).tobytes() == expected.tobytes()
-    assert max_cdf(lam, 0.7) == float(np.prod(-np.expm1(-lam[None, :] * 0.7), axis=1)[0])
+    for z, expected in zip(points.tolist(), max_cdf(lam, points).tolist()):
+        for point in (z, np.float64(z)):
+            got = max_cdf(lam, point)
+            assert type(got) is float
+            assert got == expected, (lam, z)
 
 
 def test_max_cdf_single_rate_is_exponential():
@@ -308,14 +315,53 @@ def test_order_cdf_float_dp_is_bit_identical_to_array_dp():
             mean = math.fsum(1.0 / x for x in rates)
             # z=0, the deep lower tail, the body, and the deep upper tail
             points = [0.0, 1e-300, 1e-12 * mean, *rng.exponential(mean, 4).tolist(), 60.0 * mean, 1e4 * mean]
+            max_row = max_cdf(rates, np.array(points)).tolist()
             for r in range(1, n + 1):
                 req = OrderStatisticRequest(rates, r)
-                for z in points:
+                for z, max_z in zip(points, max_row):
                     expected = _order_cdf_numpy_reference(rates, r, z)
+                    if r == n:  # max_cdf's product, so its array path is the DP too
+                        assert max_z == expected, (rates, z)
                     for point in (float(z), np.float64(z)):
                         got = order_statistic_cdf(req, point)
                         assert type(got) is float
-                        assert got == expected, (rates, r, z)
+                        if r == 1 < n:
+                            # the minimum's closed form, a few ulp from the DP
+                            assert got == min_cdf(rates, float(z)), (rates, z)
+                            assert abs(got - expected) <= 4 * math.ulp(expected), (rates, z)
+                        else:
+                            assert got == expected, (rates, r, z)
+
+
+@pytest.mark.parametrize("rates", [(0.5, 1.5, 4.0), (0.2, 0.3, 1.1, 2.0, 7.5, 9.0)])
+def test_ks_with_scalar_extreme_order_cdf_matches_array_min_and_max(rates):
+    # ks_test falls back to one call per draw for the scalar order cdf
+    n = len(rates)
+    for r, array_cdf in ((1, lambda x: min_cdf(rates, x)), (n, lambda x: max_cdf(rates, x))):
+        batch = sample_order(rates, r, 10_000, seed=71, stream_id=r)
+        req = OrderStatisticRequest(rates, r)
+        scalar = ks_test(batch, lambda x: order_statistic_cdf(req, float(x)))
+        vectorized = ks_test(batch, array_cdf)
+        assert abs(scalar.ks_statistic - vectorized.ks_statistic) <= 1e-15, r
+        assert scalar.passed == vectorized.passed
+
+
+def test_rate_sums_outside_the_double_range_raise_capacity_error():
+    rates = (1e308, 1e308)
+    calls = {
+        "min_law": lambda: min_law(rates),
+        "min_cdf": lambda: min_cdf(rates, 1.0),
+        "min_cdf array": lambda: min_cdf(rates, np.array([0.0, 1.0])),
+        "order pdf r=1": lambda: order_statistic_pdf(OrderStatisticRequest(rates, 1), 1.0),
+        "order cdf r=1": lambda: order_statistic_cdf(OrderStatisticRequest(rates, 1), 1.0),
+    }
+    for call in calls.values():
+        with pytest.raises(CapacityError, match="double range"):
+            call()
+    # the maximum needs no sum of rates
+    assert max_cdf(rates, 1.0) == 1.0
+    assert max_cdf(rates, np.array([0.0, 1.0])).tolist() == [0.0, 1.0]
+    assert order_statistic_cdf(OrderStatisticRequest(rates, 2), 1.0) == 1.0
 
 
 def test_order_pdf_reduces_to_exact_forms():

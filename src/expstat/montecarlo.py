@@ -5,9 +5,12 @@ keys, so (seed, stream_id) fully determines a batch and distinct stream ids
 are statistically independent.  Every sampler draws the same (count, N)
 matrix by the inverse transform -log(1 - U)/rate, one uniform per variable
 consumed in replication-major order, and reduces its rows: the sum, the
-minimum, the maximum, or the r-th smallest (np.partition).  Reruns with the
-same (seed, stream_id, count) are bit-identical, and on one stream the r=1
-and r=N order statistics equal the minimum and the maximum draw for draw.
+minimum, the maximum, or the r-th smallest (np.partition).  The matrix is
+drawn and reduced SAMPLE_BLOCK rows at a time, which consumes the stream in
+the same order, so working memory is O(SAMPLE_BLOCK x N) plus the result.
+Reruns with the same (seed, stream_id, count) are bit-identical, and on one
+stream the r=1 and r=N order statistics equal the minimum and the maximum
+draw for draw.
 
 The goodness-of-fit side provides the one-sample Kolmogorov-Smirnov test at
 the asymptotic 1% level and an empirical independence (factorization) check
@@ -36,6 +39,12 @@ FACTORIZATION_BOUND_MULTIPLE = 3.0
 
 # The factorization statistic is taken on an m x m grid of the marginal quantiles i/(m+1).
 FACTORIZATION_GRID = 10
+
+# The samplers draw and reduce this many rows of the (count, N) matrix at a
+# time.  Generator.random fills its output from the stream in order, so the
+# draws are those of one (count, N) call bit for bit; a row reduction sees
+# only its own row, so the values are too.
+SAMPLE_BLOCK = 8192
 
 
 def make_stream(seed: int, stream_id: int = 0) -> np.random.Generator:
@@ -92,16 +101,25 @@ class FactorizationReport:
             raise ContractError("pass flag inconsistent with deviation and bound")
 
 
-def _draw_matrix(rv, count: int, rng: np.random.Generator) -> np.ndarray:
+def _draw_blocks(rv, count: int, rng: np.random.Generator):
+    """Yield (rows, block): the draw matrix's rows in SAMPLE_BLOCK-row blocks.
+
+    Every block is formed in one buffer, so a block is valid only until the
+    next one is drawn.
+    """
     # one uniform per variable, replication-major; 1-U keeps the log argument
     # in (0, 1] so draws are finite.  -log1p(-u)/rate is formed in place in
-    # the uniforms' array (negations are exact, so the bits are those of the
-    # one-expression form) and the matrix is the only (count, N) array held.
-    u = rng.random((count, rv.n))
-    np.negative(u, out=u)
-    np.log1p(u, out=u)
-    np.divide(u, -np.asarray(rv.rates)[None, :], out=u)
-    return u
+    # the uniforms' buffer (negations are exact, so the bits are those of the
+    # one-expression form).
+    neg_rates = -np.asarray(rv.rates)[None, :]
+    buffer = np.empty((min(count, SAMPLE_BLOCK), rv.n))
+    for start in range(0, count, SAMPLE_BLOCK):
+        u = buffer[: min(SAMPLE_BLOCK, count - start)]
+        rng.random(out=u)
+        np.negative(u, out=u)
+        np.log1p(u, out=u)
+        np.divide(u, neg_rates, out=u)
+        yield slice(start, start + u.shape[0]), u
 
 
 def _reduce_columns(ufunc, x: np.ndarray) -> np.ndarray:
@@ -128,7 +146,9 @@ def _sample(rates: RatesLike, count: int, seed: int, stream_id: int, reduce) -> 
     """Draw the (count, N) matrix on the (seed, stream_id) stream and reduce each row to one value."""
     rv = as_rate_vector(rates)
     count = _validated_count(count)
-    values = reduce(_draw_matrix(rv, count, make_stream(seed, stream_id)))
+    values = np.empty(count)
+    for rows, x in _draw_blocks(rv, count, make_stream(seed, stream_id)):
+        values[rows] = reduce(x)
     return SampleBatch(values, int(seed), int(stream_id), count)
 
 
@@ -162,11 +182,13 @@ def sample_min_range_pairs(
     """(count, 2) array of (min, max - min) pairs for two independent variables."""
     rv = as_rate_vector((rate_1, rate_2))
     count = _validated_count(count)
-    rng = make_stream(seed, stream_id)
-    x = _draw_matrix(rv, count, rng)
-    lo = np.minimum(x[:, 0], x[:, 1])
-    hi = np.maximum(x[:, 0], x[:, 1])
-    return np.column_stack((lo, hi - lo))
+    pairs = np.empty((count, 2))
+    for rows, x in _draw_blocks(rv, count, make_stream(seed, stream_id)):
+        lo, spread = pairs[rows, 0], pairs[rows, 1]
+        np.minimum(x[:, 0], x[:, 1], out=lo)
+        np.maximum(x[:, 0], x[:, 1], out=spread)
+        spread -= lo
+    return pairs
 
 
 def ks_test(batch: SampleBatch, cdf) -> GoodnessOfFitReport:

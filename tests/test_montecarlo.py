@@ -1,10 +1,12 @@
 """Seeded sampling, goodness of fit, and the independence check."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from expstat import montecarlo
 from expstat import (
     ContractError,
     DomainError,
@@ -136,6 +138,47 @@ def test_column_reductions_give_the_bits_of_the_row_reductions():
     x = -np.log1p(-u) / np.array([1.0, 2.0])[None, :]
     expected = np.column_stack((x.min(axis=1), x.max(axis=1) - x.min(axis=1)))
     assert sample_min_range_pairs(1.0, 2.0, 20_000, seed=108).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("block", [1, 7, 64, montecarlo.SAMPLE_BLOCK])
+def test_blocked_draws_give_the_bits_of_one_draw_matrix(monkeypatch, block):
+    # counts below, at and across block boundaries, against one (count, N) draw
+    monkeypatch.setattr(montecarlo, "SAMPLE_BLOCK", block)
+    for rates, count in (((0.3, 0.7, 1.9, 2.5, 8.0), 3 * block + 2), ((1.1,), block), ((2.0, 2.0, 5.0), 1), ((0.4, 2.5), 2 * block - 1)):
+        u = make_stream(110, 1).random((count, len(rates)))
+        x = -np.log1p(-u) / np.asarray(rates)[None, :]
+        assert sample_sum(rates, count, seed=110, stream_id=1).values.tobytes() == x.sum(axis=1).tobytes()
+        assert sample_min(rates, count, seed=110, stream_id=1).values.tobytes() == x.min(axis=1).tobytes()
+        assert sample_max(rates, count, seed=110, stream_id=1).values.tobytes() == x.max(axis=1).tobytes()
+        for r in range(1, len(rates) + 1):
+            expected = np.partition(x, r - 1, axis=1)[:, r - 1]
+            assert sample_order(rates, r, count, seed=110, stream_id=1).values.tobytes() == expected.tobytes()
+        if len(rates) == 2:
+            pairs = sample_min_range_pairs(*rates, count, seed=110, stream_id=1)
+            lo, hi = x.min(axis=1), x.max(axis=1)
+            assert pairs.flags.c_contiguous
+            assert pairs.tobytes() == np.column_stack((lo, hi - lo)).tobytes()
+
+
+def test_sampler_memory_is_one_block_plus_the_result():
+    # the (count, N) matrix is never held whole: 6.4 MB at 1e5 x 8, 3.2 MB at 2e5 x 2
+    rates = (0.3, 0.7, 1.0, 1.9, 2.5, 4.4, 8.0, 9.5)
+    block = montecarlo.SAMPLE_BLOCK * 8 * 8
+    for sample in (sample_sum, sample_min, sample_max, lambda *a: sample_order(a[0], 4, *a[1:])):
+        tracemalloc.start()
+        try:
+            sample(rates, 100_000, 112)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 800_000 + 3 * block
+    tracemalloc.start()
+    try:
+        sample_min_range_pairs(1.0, 2.0, 200_000, 112)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3_200_000 + 3 * montecarlo.SAMPLE_BLOCK * 2 * 8
 
 
 def test_factorization_cell_counts_match_a_per_pair_count():

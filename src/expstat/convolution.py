@@ -17,11 +17,12 @@ other.  Every sum-law operation takes one of two routes, chosen by
   rates, is evaluated as the absorption time of a chain of N stages in
   series plus one absorbing state.  With E = expm(Q z) for its
   (N+1) x (N+1) generator Q, the pdf is E[0, N-1] lambda_N and the cdf is
-  E[0, N].  ``expm`` here is the entrywise-accurate exponential of a
-  Metzler matrix (Xue & Ye, Math. Comp. 2013), built from sums and
-  products of non-negative numbers, so both tails keep their relative
-  accuracy whatever the gaps, and scipy.linalg is not imported; the
-  route's quantiles take safeguarded Newton steps, one expm each.
+  E[0, N], or one minus the transient mass above the median.  ``expm``
+  here is the entrywise-accurate exponential of a Metzler matrix (Xue &
+  Ye, Math. Comp. 2013), built from sums and products of non-negative
+  numbers, so both tails keep their relative accuracy whatever the gaps,
+  and scipy.linalg is not imported; the route's quantiles take
+  safeguarded Newton steps, one expm each.
 
 Repeated rates beside other rates give the confluent (Erlang-block)
 expansion of conv_mixture, whose coefficients cancel once two clusters
@@ -54,7 +55,6 @@ from .core import (
     SignedExponentialMixture,
     _check_points,
     _check_rate,
-    _clamp_unit,
     _newton_quantile,
     as_rate_vector,
     mixture_cdf,
@@ -66,9 +66,6 @@ from .errors import CapacityError, DegenerateRatesError, DomainError, NumericalE
 # Minimal cross-cluster relative gap below which sum_route delegates
 # evaluation to the phase-type route instead of the signed closed form.
 SWITCH_THRESHOLD = 1e-3
-
-_TINY = sys.float_info.min  # the smallest normal double
-
 
 # ---------------------------------------------------------------------------
 # partial-fraction coefficients
@@ -121,82 +118,37 @@ def conv_coefficients(rates: RatesLike) -> ConvolutionCoefficients:
 # confluent (repeated-rate) expansion
 
 def _confluent_terms(mu: tuple[float, ...], mult: tuple[int, ...]) -> list[tuple[float, float, int]]:
-    """Mixture terms of the sum density for cluster rates mu with multiplicities.
+    """Mixture terms of the sum density for cluster rates mu with multiplicities, each coefficient rounded once.
 
-    The Laplace transform is C * prod_g (s + mu_g)^{-m_g} with
-    C = prod mu_g^{m_g}.  Expanding in partial fractions with repeated poles,
+    The Laplace transform is C prod_g (s+mu_g)^{-m_g} with C = prod mu_g^{m_g}.  In partial
+    fractions, prod_g (s+mu_g)^{-m_g} = sum_g sum_{k=1}^{m_g} d_{m_g-k} (s+mu_g)^{-k}, where d_r is
+    the r-th Taylor coefficient at -mu_g of phi_g(s) = prod_{h != g} (s+mu_h)^{-m_h}, and inverting
+    (s+mu)^{-k} to z^{k-1} e^{-mu z}/(k-1)! gives the terms (C d_{m_g-k}/(k-1)!, mu_g, k-1).  With
+    w_h = 1/(mu_g - mu_h), the log-derivatives of phi_g give the Leibniz recurrence
 
-        prod_g (s+mu_g)^{-m_g} = sum_g sum_{k=1}^{m_g} a_{g,k} (s+mu_g)^{-k},
-        a_{g,k} = phi_g^{(m_g-k)}(-mu_g) / (m_g-k)!,
-        phi_g(s) = prod_{h != g} (s+mu_h)^{-m_h},
+        d_0 = prod_{h != g} (-w_h)^{m_h},  r d_r = sum_{j=1}^{r} t_j d_{r-j},  t_j = sum_{h != g} m_h w_h^j.
 
-    and inverting (s+mu)^{-k} to z^{k-1} e^{-mu z}/(k-1)! gives terms
-    (C a_{g,k}/(k-1)!, mu_g, k-1).  Derivatives of phi_g = exp(psi_g) follow
-    the Leibniz recurrence with the explicit log-derivatives
-
-        psi_g^{(j)}(-mu_g) = (-1)^j (j-1)! sum_{h != g} m_h (mu_h-mu_g)^{-j}.
-
-    The terms are formed in floats as written.  When a power, factorial or
-    binomial there leaves the double range, or C, a phi_g or a nonzero
-    coefficient comes out other than a normal double, they are formed again
-    exactly (_exact_confluent_terms), which raises CapacityError for a
-    coefficient outside the normal range.
-    """
-    try:
-        c_total = 1.0
-        for m, k in zip(mu, mult):
-            c_total *= m**k
-        normal = [c_total]
-        terms: list[tuple[float, float, int]] = []
-        for g, (mu_g, m_g) in enumerate(zip(mu, mult)):
-            psi = [0.0] * m_g  # psi[j] = psi_g^(j)(-mu_g), j >= 1 used
-            for j in range(1, m_g):
-                s = math.fsum(
-                    mult[h] / (mu[h] - mu_g) ** j for h in range(len(mu)) if h != g
-                )
-                psi[j] = (-1.0) ** j * math.factorial(j - 1) * s
-            phi = [0.0] * m_g
-            phi[0] = math.prod(
-                (mu[h] - mu_g) ** (-mult[h]) for h in range(len(mu)) if h != g
-            )
-            normal.append(phi[0])
-            for r in range(1, m_g):
-                phi[r] = math.fsum(
-                    math.comb(r - 1, j) * psi[r - j] * phi[j] for j in range(r)
-                )
-            for k in range(1, m_g + 1):
-                a = phi[m_g - k] / math.factorial(m_g - k)
-                coeff = c_total * a / math.factorial(k - 1)
-                terms.append((coeff, mu_g, k - 1))
-                if a:
-                    normal.append(coeff)
-        if all(_TINY <= abs(v) < math.inf for v in normal):
-            return terms
-    except (ArithmeticError, ValueError):  # an overflow, a division by an underflowed power, inf - inf
-        pass
-    return _exact_confluent_terms(mu, mult)
-
-
-def _exact_confluent_terms(mu: tuple[float, ...], mult: tuple[int, ...]) -> list[tuple[float, float, int]]:
-    """The terms of _confluent_terms in exact rational arithmetic, each coefficient rounded once.
-
-    With d_r = phi_g^{(r)}(-mu_g) / r! the Leibniz recurrence reads
-    r d_r = sum_{j=1}^{r} (-1)^j s_j d_{r-j}, s_j = sum_{h != g} m_h (mu_h-mu_g)^{-j},
-    and a_{g,k} = d_{m_g-k}.  Raises CapacityError, naming the cluster, when a
-    nonzero coefficient lies outside the normal double range.
+    Every step runs in exact rationals (the rates are dyadic), so each coefficient is the correctly
+    rounded residue.  Each inverse gap is formed once per pair of clusters and its powers by repeated
+    multiplication.  A single cluster (the Gamma law) has no w_h, so d = [1, 0, ...] and only its top
+    coefficient is formed.  Raises CapacityError, naming the cluster, when a nonzero coefficient lies
+    outside the normal double range.
     """
     q = [Fraction(m) for m in mu]
     c_total = math.prod(m**k for m, k in zip(q, mult))
+    inverse = {(g, h): 1 / (q[g] - q[h]) for g in range(len(q)) for h in range(g)}  # each pair once
     terms = []
-    for g, (mu_g, m_g) in enumerate(zip(q, mult)):
-        gaps = [(q[h] - mu_g, mult[h]) for h in range(len(q)) if h != g]
-        s = [sum((m / gap**j for gap, m in gaps), Fraction(0)) for j in range(m_g)]
-        d = [math.prod((gap**-m for gap, m in gaps), start=Fraction(1))]
-        for r in range(1, m_g):
-            d.append(sum((-1) ** j * s[j] * d[r - j] for j in range(1, r + 1)) / r)
-        for k in range(1, m_g + 1):
+    for g, m_g in enumerate(mult):
+        others = [(inverse[g, h] if h < g else -inverse[h, g], mult[h]) for h in range(len(q)) if h != g]  # (w_h, m_h)
+        d = [math.prod(((-w) ** m for w, m in others), start=Fraction(1))]
+        powers, t = [Fraction(m) for _, m in others], [0]  # m_h w_h^j and t_j, j = 0, 1, ...
+        for r in range(1, m_g if others else 1):
+            powers = [p * w for p, (w, _) in zip(powers, others)]
+            t.append(sum(powers))
+            d.append(sum(t[j] * d[r - j] for j in range(1, r + 1)) / r)
+        for k in range(m_g - len(d) + 1, m_g + 1):
             coeff = c_total * d[m_g - k] / math.factorial(k - 1)
-            if coeff and not _TINY <= abs(coeff) <= sys.float_info.max:
+            if coeff and not sys.float_info.min <= abs(coeff) <= sys.float_info.max:
                 magnitude = math.log10(abs(coeff.numerator)) - math.log10(coeff.denominator)
                 raise CapacityError(
                     f"the degree-{k - 1} coefficient of the cluster of {m_g} rates at {mu[g]!r} "
@@ -209,14 +161,15 @@ def _exact_confluent_terms(mu: tuple[float, ...], mult: tuple[int, ...]) -> list
 def conv_mixture(rates: RatesLike) -> SignedExponentialMixture:
     """Signed-mixture form of the sum density.
 
-    Distinct rates give the degree-0 closed form; each repeated rate
-    contributes Erlang-block terms of degree up to multiplicity - 1 at that
-    rate (all rates equal recovers the Gamma(N, rate) density exactly).  The
-    coefficients grow without bound as cross-cluster gaps shrink, and those
-    of two or more clusters cancel at any gap once a rate repeats, so
-    conv_pdf, conv_cdf and conv_quantile evaluate this mixture only for
-    well-separated distinct rates and for a single repeated rate (sum_route);
-    it is built here for callers who ask for the mixture itself.
+    Distinct rates give the degree-0 closed form (conv_coefficients, in
+    floats); each repeated rate contributes Erlang-block terms of degree up
+    to multiplicity - 1 at that rate, formed exactly and rounded once
+    (_confluent_terms), and all rates equal recovers the Gamma(N, rate)
+    density.  The coefficients grow without bound as cross-cluster gaps
+    shrink, and those of two or more clusters cancel at any gap once a rate
+    repeats, so conv_pdf, conv_cdf and conv_quantile evaluate this mixture
+    only for well-separated distinct rates and for a single repeated rate
+    (sum_route); it is built here for callers who ask for the mixture itself.
     """
     rv = as_rate_vector(rates)
     if rv.is_distinct:
@@ -293,32 +246,36 @@ def _absorption(q: np.ndarray, zz: float | np.ndarray) -> tuple[float | np.ndarr
     """(cdf, pdf) of the absorption time of generator q at checked points (a float or an array).
 
     The chain starts in state 0, so its state at time z is row 0 of
-    E = expm(Q z): the pdf is E[0, N-1] lambda_N and the cdf is E[0, N],
-    clamped into [0, 1].  Both are entries of a Metzler exponential, so both
-    tails keep their relative accuracy; the cdf is not one minus the
-    survival.  A scalar reads row 0 of one expm(Q z), the identity row at
-    z = 0.  An array takes one pass over the points in sorted order, which
-    carries the state from each point to the next by the semigroup step
+    E = expm(Q z), and the pdf is E[0, N-1] lambda_N.  Each entry of a
+    Metzler exponential keeps its relative accuracy, so the cdf takes the
+    form that does not cancel: the absorbing entry E[0, N] where the
+    transient mass T = sum_{j<N} E[0, j] is at least 1/2, and 1 - T above
+    the median, where E[0, N] loses mass in the squarings (on (1, 1.0005, 2)
+    it read 1 - 5e-10 at z = 1e6 and 0 from z = 1e50).  Both lie in [0, 1].
+    A scalar reads row 0 of one expm(Q z), the identity row at z = 0.  An
+    array takes one pass over the points in sorted order, which carries the
+    state from each point to the next by the semigroup step
     state . expm(Q gap), so a grid costs one matrix exponential per distinct
     gap (about 10-20 for a linspace grid) rather than one per point.  Only a
-    gap that recurs keeps its step matrix: memory is O(N^2 + points) plus at
-    most one (N+1) x (N+1) matrix per distinct recurring gap.  A non-finite
-    state raises NumericalError.
+    gap that recurs keeps its step matrix: memory is O(N^2 + points x N)
+    plus at most one (N+1) x (N+1) matrix per distinct recurring gap.  A
+    non-finite state raises NumericalError.
     """
     n = q.shape[0] - 1
     if isinstance(zz, float):
         row = expm(q * zz)[0] if zz else np.eye(1, n + 1)[0]
-        entry, cdf = float(row[n - 1]), float(row[n])
-        if not (math.isfinite(entry) and math.isfinite(cdf)):
-            raise NumericalError(f"matrix exponential produced {[entry, cdf]!r} at z={zz!r} (n={n})")
-        return _clamp_unit(cdf, "phase-type cdf"), entry * float(q[n - 1, n])
+        transient = float(row[:n].sum())
+        entry, absorbed = row[n - 1 :].tolist()
+        if not math.isfinite(transient + absorbed):
+            raise NumericalError(f"matrix exponential produced {row.tolist()!r} at z={zz!r} (n={n})")
+        return 1.0 - transient if transient < 0.5 else absorbed, entry * float(q[n - 1, n])
     points = np.ravel(zz)
     order = np.argsort(points, kind="stable")
     gaps = np.diff(points[order], prepend=0.0).tolist()
     steps = {gap: None for gap, count in Counter(gaps).items() if count > 1}
     state = np.zeros(n + 1)
     state[0] = 1.0
-    entries = np.empty((len(points), 2))  # E[0, N-1] and E[0, N] at each point
+    rows = np.empty((len(points), n + 1))  # row 0 of expm(Q z) at each point
     for i, gap in zip(order.tolist(), gaps):
         if gap:
             step = steps.get(gap)
@@ -327,16 +284,13 @@ def _absorption(q: np.ndarray, zz: float | np.ndarray) -> tuple[float | np.ndarr
                 if gap in steps:
                     steps[gap] = step
             state = state @ step
-        entries[i] = state[n - 1 :]
-    finite = np.isfinite(entries).all(axis=1)
+        rows[i] = state
+    transient = rows[:, :n].sum(axis=1)
+    finite = np.isfinite(transient + rows[:, n])
     if not finite.all():
         i = int(np.argmin(finite))
-        raise NumericalError(f"matrix exponential produced {entries[i].tolist()!r} at z={float(points[i])!r} (n={n})")
-    pdf = entries[:, 0] * q[n - 1, n]
-    cdf = entries[:, 1]
-    for i in np.flatnonzero((cdf < 0.0) | (cdf > 1.0)):
-        cdf[i] = _clamp_unit(float(cdf[i]), "phase-type cdf")
-    return cdf, pdf
+        raise NumericalError(f"matrix exponential produced {rows[i].tolist()!r} at z={float(points[i])!r} (n={n})")
+    return np.where(transient < 0.5, 1.0 - transient, rows[:, n]), rows[:, n - 1] * q[n - 1, n]
 
 
 def conv_pdf_phase_type(rates: RatesLike, z: float | np.ndarray) -> float | np.ndarray:

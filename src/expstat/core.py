@@ -20,6 +20,7 @@ import logging
 import math
 import numbers
 import operator
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence, Union
@@ -46,6 +47,7 @@ GRID_BLOCK = 8192
 # k! correctly rounded for k = 0..170, and inf for every larger k (171! overflows).
 _FACTORIALS = np.array([float(math.factorial(k)) for k in range(171)] + [math.inf])
 _HALF_EPS = 0.5 * math.ulp(1.0)
+_DOUBLE_MAX = sys.float_info.max
 
 
 def factorial(k: np.ndarray) -> np.ndarray:
@@ -110,11 +112,15 @@ def gammainc(a, x):
 # argument checks
 
 
-def _check_rate(value: float, name: str) -> float:
-    """``value`` as a float; DomainError naming ``name`` unless finite and positive."""
-    if not (math.isfinite(value) and value > 0.0):
+def _check_rate(value, name: str) -> float:
+    """``value`` as a float; DomainError naming ``name`` unless a finite positive real number."""
+    try:
+        rate = float(value)
+    except (TypeError, ValueError, OverflowError):  # None, a complex number, a string that is no number, a huge int
+        rate = math.nan
+    if not (math.isfinite(rate) and rate > 0.0):
         raise DomainError(f"{name} must be finite and positive, got {value!r}")
-    return float(value)
+    return rate
 
 
 def _check_integer(value, name: str) -> int:
@@ -128,17 +134,21 @@ def _check_integer(value, name: str) -> int:
 def _check_points(z) -> float | np.ndarray:
     """A scalar z as a float, anything else as a float64 array.
 
-    Raises DomainError unless every point is finite and non-negative, so NaN
-    and infinite arguments never reach the kernels, and for an array of more
-    than one dimension, which every kernel would mishandle differently.
+    Raises DomainError unless every point is a finite non-negative real
+    number, so NaN, infinite, string and complex arguments and ints past the
+    double range never reach the kernels, and for an array of more than one
+    dimension, which every kernel would mishandle differently.
     Python numbers skip numpy, whose per-call overhead would dominate the
     per-point loops.
     """
     if isinstance(z, (int, float)):
-        if not (math.isfinite(z) and z >= 0.0):
+        if not 0.0 <= z <= _DOUBLE_MAX:  # false for NaN, the infinities and ints past the double range
             raise DomainError(f"points must be finite and non-negative, got {z!r}")
         return float(z)
-    zz = np.asarray(z, dtype=np.float64)
+    try:
+        zz = np.asarray(z, dtype=np.float64)
+    except (TypeError, ValueError):  # a string or a complex number
+        raise DomainError(f"points must be real numbers, got {z!r}") from None
     if zz.ndim > 1:
         raise DomainError(f"points must be a scalar or a 1-d array, got shape {zz.shape}")
     bad = ~(np.isfinite(zz) & (zz >= 0.0))
@@ -168,7 +178,10 @@ class RateVector:
     clusters: tuple[tuple[int, ...], ...] = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
-        rates = tuple(_check_rate(float(r), "rates") for r in self.rates)
+        try:
+            rates = tuple(_check_rate(r, "rates") for r in self.rates)
+        except TypeError:  # a single number, or anything else that is not iterable
+            raise DomainError(f"rates must be a sequence of numbers, got {self.rates!r}") from None
         if len(rates) == 0:
             raise DomainError("rate vector must be non-empty")
         object.__setattr__(self, "rates", rates)
@@ -235,7 +248,7 @@ def as_rate_vector(rates: RatesLike) -> RateVector:
     """Coerce a sequence of rates into a RateVector (pass-through if already one)."""
     if isinstance(rates, RateVector):
         return rates
-    return RateVector(tuple(float(r) for r in rates))
+    return RateVector(rates)
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +262,7 @@ class ExponentialLaw:
     rate: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "rate", _check_rate(float(self.rate), "rate"))
+        object.__setattr__(self, "rate", _check_rate(self.rate, "rate"))
 
 
 # ---------------------------------------------------------------------------
@@ -478,11 +491,6 @@ def mixture_eval_grid(m: SignedExponentialMixture, z: np.ndarray) -> np.ndarray:
         zb = zz[None, block]
         vals[block] = np.sum(_term_values(c, k, lam, zb), axis=0)
     return np.maximum(vals, 0.0, out=vals) if m.is_density else vals
-
-
-def mixture_integral(m: SignedExponentialMixture) -> float:
-    """Exact integral over [0, inf): sum_i c_i * k_i! / rate_i^(k_i+1), the moment of order 0."""
-    return mixture_moment(m, 0)
 
 
 def _cdf_raw(m: SignedExponentialMixture, z: float) -> float:

@@ -217,8 +217,7 @@ def order_statistic_pdf(req: OrderStatisticRequest, z: float) -> float:
     rv = req.rates
     z = _check_scalar_point(z)
     if req.r == 1:
-        rate = min_law(rv).rate
-        return rate * math.exp(-rate * z)
+        return min_pdf(rv, z)
     if req.r == rv.n:
         return max_pdf(rv, z)
     h = DIFFERENCE_STEP if z >= DIFFERENCE_STEP else DIFFERENCE_STEP * z
@@ -227,6 +226,13 @@ def order_statistic_pdf(req: OrderStatisticRequest, z: float) -> float:
     f_lo = order_statistic_cdf(req, lo)
     f_hi = order_statistic_cdf(req, hi)
     return max((f_hi - f_lo) / (hi - lo), 0.0) if hi > lo else 0.0
+
+
+def min_pdf(rates: RatesLike, z: float | np.ndarray) -> float | np.ndarray:
+    """Density Lambda exp(-Lambda z) of the minimum, Lambda = RateVector.total; math.exp on a scalar, np.exp on an array."""
+    rate = as_rate_vector(rates).total
+    zz = _check_points(z)
+    return rate * (math.exp(-rate * zz) if isinstance(zz, float) else np.exp(-rate * zz))
 
 
 def min_cdf(rates: RatesLike, z: float | np.ndarray) -> float | np.ndarray:

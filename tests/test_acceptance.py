@@ -29,7 +29,6 @@ from expstat import (
     mixture_cdf,
     mixture_quantile,
     order_statistic_cdf,
-    partial_fraction_identity_check,
     sample_max,
     sample_min,
     sample_min_range_pairs,
@@ -97,8 +96,8 @@ def test_coefficient_identities_hold_at_scale(capsys):
         residuals = [abs(math.fsum(a) - 1.0)]
         for k in range(1, len(rates)):
             residuals.append(abs(math.fsum(a * lam**k)) / float(np.max(lam)) ** k)
-        probe = 0.37 * min(rates)
-        residuals.append(partial_fraction_identity_check(rates, probe))
+        t = -0.37j * min(rates)  # the transform identity at the real Laplace point 0.37 min(rates)
+        residuals.append(abs(char_fn_linear_combination(rates, t) - char_fn_product(rates, t)))
         worst_ratio = max(worst_ratio, max(residuals) / tol)
     elapsed = time.perf_counter() - start
     _verdict(

@@ -12,8 +12,10 @@ import numpy as np
 import pytest
 
 from expstat import (
+    DomainError,
     OrderStatisticRequest,
     RateVector,
+    conv_coefficients,
     conv_mixture,
     conv_pdf,
     max_cdf,
@@ -213,6 +215,12 @@ def test_curve_rejects_bad_inputs(monkeypatch):
         assert code == 2, argv
 
 
+def test_curve_request_refuses_a_fractional_order():
+    # r = 2.7 was truncated to 2 before the order-statistic request could refuse it
+    with pytest.raises(DomainError, match="order r must be an integer"):
+        cli.CurveRequest("order", (1.0, 2.0, 3.0), 2.7, 0.0, 1.0, 3, "cdf")
+
+
 # ---------------------------------------------------------------------------
 # sample
 
@@ -327,6 +335,12 @@ def test_sample_rejects_nonpositive_count(monkeypatch):
     assert code == 2
 
 
+def test_sample_refuses_a_fractional_order():
+    # r = 1.9 drew the minimum
+    with pytest.raises(DomainError, match="order r must be an integer"):
+        cli.cmd_sample("order", (1.0, 2.0, 3.0), 1.9, 2, 1, out=io.StringIO())
+
+
 # ---------------------------------------------------------------------------
 # check
 
@@ -354,10 +368,8 @@ def test_check_oracle_triangle_holds_the_mixture_against_the_chain(monkeypatch):
     # 1,1,2 evaluates on the chain; the triangle's mixture vertex must still be checked
     assert sum_route((1.0, 1.0, 2.0))[0] == "phase-type"
     monkeypatch.setattr(cli, "conv_mixture", lambda rates: conv_mixture((1.0, 1.0, 2.0 * (1.0 + 1e-6))))
-    results = []
-    cli._check_oracle_triangle(RateVector((1.0, 1.0, 2.0)), results)
-    [(name, passed, metric)] = results
-    assert name == "oracle_triangle" and passed is False, metric
+    passed, metric = cli._check_oracle_triangle(RateVector((1.0, 1.0, 2.0)), 11)
+    assert passed is False, metric
 
 
 def test_check_near_degenerate_exits_clean(monkeypatch):
@@ -370,13 +382,16 @@ def test_check_near_degenerate_exits_clean(monkeypatch):
 
 @pytest.mark.parametrize("rates", [(1.0, 1.0005, 2.0), (1.0, 1.000001, 2.0), (1.0, 1.000000000001, 3.0)])
 def test_check_transform_bound_follows_the_coefficients(rates):
-    # an absolute 1e-12 failed on correct code: the linear combination's rounding grows with sum |A_n|
+    # an absolute 1e-12 failed on correct code: the linear combination's rounding grows with sum |A_n|;
+    # at (1, 1 + 1e-12, 3), sum |A_n| = 3e12 puts the bound at 3, above the transform's modulus 1
+    total = math.fsum(abs(a) for a in conv_coefficients(rates).coefficients)
     for seed in range(1, 13):
-        results = []
-        cli._check_transform(RateVector(rates), seed, results)
-        [(name, passed, metric)] = results
-        assert name == "transform_equality" and passed, (seed, metric)
-        assert ", bound " in metric
+        passed, metric = cli._check_transform(RateVector(rates), seed)
+        if 1e-12 * total >= 1.0:
+            assert passed is None and metric.startswith("bound 3.000e+00 = 1e-12 sum|A_n| is not below 1"), metric
+        else:
+            assert passed, (seed, metric)
+            assert ", bound " in metric
 
 
 @pytest.mark.parametrize("rates", ["1,2,3", "1,1,4", "1,1.0005,2"])
@@ -397,6 +412,41 @@ def test_check_reports_a_typed_error_as_a_failure_and_runs_the_rest(monkeypatch)
     assert verdicts["normalization"] == verdicts["oracle_triangle"] == "FAIL", out
     assert verdicts["min_ks"] == verdicts["max_ks"] == "PASS", out
     assert "CHECK oracle_triangle FAIL NumericalError: quantile residual" in out
+
+
+def test_check_refuses_a_negative_seed_before_any_line(monkeypatch):
+    # np.random.default_rng raised a ValueError traceback from inside the transform check
+    code, out, err = run_cli(["check", "--rates", "1,2", "--seed", "-1"], monkeypatch)
+    assert code == 2 and out == "", out
+    assert "seed and stream_id must be non-negative" in err
+    with pytest.raises(DomainError):
+        cli.cmd_check((1.0, 2.0), -1, out=io.StringIO())
+
+
+def test_identity_checks_skip_once_their_allowance_reaches_one():
+    # 100 rates log-spaced over 0.1..10: max|A_n| = 5e20, so a 1e-8 max|A_n| tolerance and a
+    # 1e-12 sum|A_n| bound pass anything at the transforms' scale of 1
+    wide = RateVector(tuple(float(x) for x in np.geomspace(0.1, 10.0, 100)))
+    status, detail = cli._check_identities(wide, 11)
+    assert status is None and "= 1e-8 max|A_n| is not below 1 (max|A_n| = " in detail, detail
+    status, detail = cli._check_transform(wide, 11)
+    assert status is None and "= 1e-12 sum|A_n| is not below 1 (sum|A_n| = " in detail, detail
+    narrow = RateVector(tuple(float(x) for x in np.geomspace(0.1, 10.0, 12)))  # max|A_n| = 24
+    assert cli._check_identities(narrow, 11)[0] is True
+    assert cli._check_transform(narrow, 11)[0] is True
+
+
+def test_check_table_names_each_check_once_in_output_order():
+    names = [name for name, _ in cli._CHECKS]
+    assert names == [
+        "coefficient_identities",
+        "transform_equality",
+        "normalization",
+        "oracle_triangle",
+        "min_ks",
+        "max_ks",
+        "min_range_independence",
+    ]
 
 
 def test_check_rejects_invalid_rates(monkeypatch):

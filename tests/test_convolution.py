@@ -30,8 +30,7 @@ from expstat import (
     conv_quantile,
     mixture_cdf,
     mixture_eval,
-    mixture_integral,
-    partial_fraction_identity_check,
+    mixture_moment,
     sum_pdf_quadrature,
     sum_route,
 )
@@ -229,7 +228,7 @@ def test_confluent_mixture_hand_value():
         (2.0, 1.0, 1),
         (2.0, 2.0, 0),
     )
-    assert mixture_integral(mix) == pytest.approx(1.0, abs=1e-14)
+    assert mixture_moment(mix, 0) == pytest.approx(1.0, abs=1e-14)
     z = np.linspace(0.0, 12.0, 200)
     expected = -2.0 * np.exp(-z) + 2.0 * z * np.exp(-z) + 2.0 * np.exp(-2.0 * z)
     np.testing.assert_allclose(mixture_eval_grid(mix, z), expected, rtol=1e-13, atol=1e-14)
@@ -705,12 +704,12 @@ def test_conv_moments_outside_the_double_range_raise_capacity_error():
 def test_conv_mixture_normalization(rates):
     mix = conv_mixture(tuple(rates))
     kappa = conv_coefficients(tuple(rates)).condition_estimate
-    assert mixture_integral(mix) == pytest.approx(1.0, abs=max(1e-10, 1e-12 * kappa))
+    assert mixture_moment(mix, 0) == pytest.approx(1.0, abs=max(1e-10, 1e-12 * kappa))
 
 
 def test_conv_mixture_normalization_clustered():
     for rates in ((1.0, 1.0), (2.0, 2.0, 2.0), (1.0, 1.0, 2.0), (0.5, 0.5, 3.0, 3.0, 9.0)):
-        assert mixture_integral(conv_mixture(rates)) == pytest.approx(1.0, abs=1e-10)
+        assert mixture_moment(conv_mixture(rates), 0) == pytest.approx(1.0, abs=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -749,35 +748,60 @@ def test_char_fn_linear_combination_rejects_clustered():
 
 
 # ---------------------------------------------------------------------------
-# partial-fraction identity probe
+# the transform identity at a real Laplace point: t = -i mu gives
+# sum_n A_n lambda_n / (lambda_n - mu) = prod_j lambda_j / (lambda_j - mu)
+
+
+def _identity_residual(rates, mu):
+    t = -1j * mu
+    return abs(char_fn_linear_combination(rates, t) - char_fn_product(rates, t))
 
 
 def test_identity_check_two_rates_exact():
-    # both sides equal (1/(1-3)) * (2/(2-3)) = 1 at probe 3
-    assert partial_fraction_identity_check((1.0, 2.0), 3.0) <= 1e-12
+    # both sides equal (1/(1-3)) * (2/(2-3)) = 1 at mu = 3
+    assert char_fn_product((1.0, 2.0), -3j) == 1.0
+    assert _identity_residual((1.0, 2.0), 3.0) <= 1e-12
 
 
 def test_identity_check_three_rates():
-    assert partial_fraction_identity_check((1.0, 2.0, 3.0), 5.0) <= 1e-10
+    assert _identity_residual((1.0, 2.0, 3.0), 5.0) <= 1e-10
 
 
 def test_identity_check_single_rate_trivial():
-    assert partial_fraction_identity_check((2.0,), 3.0) == 0.0
+    assert _identity_residual((2.0,), 3.0) == 0.0
 
 
 def test_identity_check_rejects_probe_collision():
-    with pytest.raises(DomainError):
-        partial_fraction_identity_check((1.0, 2.0), 2.0)
-    with pytest.raises(DomainError):
-        partial_fraction_identity_check((1.0, 2.0), 2.0 + 1e-12)
+    # i t at a rate is a pole of its factor; both evaluators refuse it
+    for fn in (char_fn_product, char_fn_linear_combination):
+        with pytest.raises(DomainError, match="pole"):
+            fn((1.0, 2.0), -2j)
+        with pytest.raises(DomainError, match="pole"):
+            fn((1.0, 2.0), -1j * (2.0 + 1e-12))
+        fn((1.0, 2.0), -1j * (2.0 + 1e-8))  # outside the 1e-9 window
+        fn((1.0, 2.0), 2.0)  # a real frequency never reaches a pole
 
 
 def test_identity_check_random_probes():
     for rates in random_rate_sets(seed=16, n_sets=20, n_min=2, n_max=8):
         kappa = conv_coefficients(rates).condition_estimate
-        assert partial_fraction_identity_check(rates, 0.37 * min(rates)) <= 1e-8 * max(
-            kappa, 1.0
-        )
+        assert _identity_residual(rates, 0.37 * min(rates)) <= 1e-8 * max(kappa, 1.0)
+
+
+def test_identity_at_half_the_smallest_rate_is_the_real_probe_bit_for_bit():
+    # the check suite evaluates t = -0.5j min(rates); CPython divides (r+0j)/(d+0j) exactly as r/d,
+    # so both sides carry the bits of the real-arithmetic identity with a zero imaginary part
+    for rates in random_rate_sets(seed=17, n_sets=20, n_min=2, n_max=8):
+        mu = 0.5 * min(rates)
+        coeffs = conv_coefficients(rates)
+        left = math.fsum(a * (r / (r - mu)) for a, r in zip(coeffs.coefficients, coeffs.rates))
+        right = 1.0
+        for r in rates:
+            right *= r / (r - mu)
+        t = -0.5j * min(rates)
+        assert char_fn_linear_combination(rates, t) == complex(left, 0.0)
+        assert char_fn_product(rates, t) == complex(right, 0.0)
+        assert _identity_residual(rates, mu) == abs(left - right)
 
 
 # ---------------------------------------------------------------------------
@@ -802,3 +826,56 @@ def test_gamma_limit_single_point_matches_quadrature():
     mine = conv_pdf(rates, 1.0)
     ref = float(sum_pdf_quadrature(rates, np.array([1.0]))[0])
     assert mine == pytest.approx(ref, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# many well-separated rates: the closed form's cancellation defect.  Rates
+# log-spaced over 0.1..10 pass sum_route's gap rule at every N, but max |A_n|
+# grows from 24 at N=12 to 5e20 at N=100, and the closed form's values carry
+# none of their digits in the lower tail.  The chain holds them.
+
+_LOG_SPACED_N = (8, 12, 20, 40, 100)
+_MEAN_MULTIPLES = (1e-3, 1e-2, 0.1, 0.5, 1.0, 3.0)
+
+
+def _log_spaced_reference(n):
+    """Rates, points and the (cdf, pdf) arrays of the distinct-rate closed form in 60 + 2N digits.
+
+    The terms reach |A_n| lambda_n ~ 1e21 at N=100, where the cdf at 1e-3 of
+    the mean is 4.5e-225; 2N digits cover that cancellation with 60 to spare
+    (60 + 4N digits agree to 1.3e-16).
+    """
+    rates = tuple(float(x) for x in np.geomspace(0.1, 10.0, n))
+    points = math.fsum(1.0 / r for r in rates) * np.array(_MEAN_MULTIPLES)
+    with mpmath.workdps(60 + 2 * n):
+        lam = [mpmath.mpf(r) for r in rates]
+        coeffs = [mpmath.fprod(lj / (lj - ln) for j, lj in enumerate(lam) if j != i) for i, ln in enumerate(lam)]
+        cdf = [-mpmath.fsum(a * mpmath.expm1(-l * z) for a, l in zip(coeffs, lam)) for z in points.tolist()]
+        pdf = [mpmath.fsum(a * l * mpmath.exp(-l * z) for a, l in zip(coeffs, lam)) for z in points.tolist()]
+    return rates, points, np.array([float(v) for v in cdf]), np.array([float(v) for v in pdf])
+
+
+def _worst_relative(got, ref):
+    return float(np.max(np.abs(got - ref) / np.abs(ref)))
+
+
+@pytest.mark.parametrize("n", _LOG_SPACED_N)
+def test_chain_holds_many_log_spaced_rates_to_the_reference(n):
+    # measured: pdf 5.4e-13 and cdf 4.8e-13 relative point by point, 1.2e-12 pdf on the array path, at N=100
+    rates, points, cdf, pdf = _log_spaced_reference(n)
+    q = convolution._absorbing_generator(RateVector(rates))
+    scalar_cdf, scalar_pdf = np.array([convolution._absorption(q, z) for z in points.tolist()]).T
+    array_cdf, array_pdf = convolution._absorption(q, points)
+    for got, ref in ((scalar_cdf, cdf), (scalar_pdf, pdf), (array_cdf, cdf), (array_pdf, pdf)):
+        assert _worst_relative(got, ref) <= 5e-12
+
+
+@pytest.mark.xfail(raises=AssertionError, strict=True, reason="sum_route sends these sets to the cancelling closed form")
+@pytest.mark.parametrize("n", _LOG_SPACED_N)
+def test_routed_sum_holds_many_log_spaced_rates_to_the_reference(n):
+    # measured worst relative error, pdf / cdf: 0.51 / 4.5 at N=8, 1.0 / 1.0 at N=12 and 20,
+    # 1.0 / 3.9e79 at N=40 and 1.1e3 / 1.0 at N=100
+    rates, points, cdf, pdf = _log_spaced_reference(n)
+    assert sum_route(rates)[0] == "closed-form"
+    assert _worst_relative(conv_pdf(rates, points), pdf) <= 5e-12
+    assert _worst_relative(conv_cdf(rates, points), cdf) <= 5e-12

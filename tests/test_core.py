@@ -31,7 +31,6 @@ from expstat import (
     min_cdf,
     mixture_cdf,
     mixture_eval,
-    mixture_integral,
     mixture_moment,
     mixture_quantile,
     order_statistic_cdf,
@@ -301,10 +300,10 @@ def test_mixture_kernels_take_arrays_and_order_statistics_reject_them():
     assert [order_statistic_cdf(_ORDER, float(x)) for x in z] == pytest.approx([0.659, 0.930, 0.997], abs=1e-3)
 
 
-def test_public_names_are_at_most_45_and_all_resolve():
+def test_public_names_are_at_most_44_and_all_resolve():
     import expstat
 
-    assert len(expstat.__all__) <= 45
+    assert len(expstat.__all__) <= 44
     assert len(set(expstat.__all__)) == len(expstat.__all__)
     for name in expstat.__all__:
         assert getattr(expstat, name) is not None, name
@@ -316,6 +315,23 @@ def test_pdf_and_cdf_reject_nonfinite_and_negative_points(name, bad):
     # NaN used to come back as NaN (or as 1.0 from the order-statistic cdf)
     with pytest.raises(DomainError):
         _POINTWISE[name](bad)
+
+
+@pytest.mark.parametrize("bad", [10**400, -(10**400), "x", 1j])
+@pytest.mark.parametrize("name", sorted(n for n in _POINTWISE if "array" not in n and "grid" not in n and "quadrature" not in n))
+def test_points_gate_refuses_huge_ints_strings_and_complex_numbers(name, bad):
+    # 10**400 raised OverflowError from math.isfinite, "x" numpy's ValueError and 1j a TypeError
+    with pytest.raises(DomainError, match="points must be"):
+        _POINTWISE[name](bad)
+
+
+@pytest.mark.parametrize("rates", [("abc",), (None, 1.0), (1j,), (10**400, 1.0), 3.0])
+def test_rates_gate_refuses_what_is_not_a_sequence_of_positive_reals(rates):
+    # "abc" raised ValueError, None and 1j TypeError, 10**400 OverflowError, and a bare 3.0
+    # "TypeError: 'float' object is not iterable"
+    for build in (RateVector, as_rate_vector, lambda rates: conv_pdf(rates, 1.0)):
+        with pytest.raises(DomainError, match="rates must be"):
+            build(rates)
 
 
 _ARRAY_KERNELS = {
@@ -347,10 +363,10 @@ def test_points_of_more_than_one_dimension_raise_domain_error(name):
 
 
 def test_mixture_integral_frozen_values():
-    assert mixture_integral(conv_mixture((1.0, 2.0))) == pytest.approx(1.0, abs=1e-15)
+    assert mixture_moment(conv_mixture((1.0, 2.0)), 0) == pytest.approx(1.0, abs=1e-15)
     erlang = SignedExponentialMixture.from_terms([MixtureTerm(4.0, 2.0, 2)])
     # 4 * 2! / 2^3 = 1
-    assert mixture_integral(erlang) == pytest.approx(1.0, abs=1e-15)
+    assert mixture_moment(erlang, 0) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_concatenated_terms_merge_in_the_constructor():
@@ -368,7 +384,7 @@ def test_concatenated_terms_merge_in_the_constructor():
     assert mixture_eval(cancelled, 1.0) == 0.0
     doubled = joined(1.0)
     assert doubled.n_terms == a.n_terms
-    assert mixture_integral(doubled) == pytest.approx(2.0, rel=1e-14)
+    assert mixture_moment(doubled, 0) == pytest.approx(2.0, rel=1e-14)
 
 
 def test_mixture_moment_frozen_values():
@@ -398,7 +414,7 @@ def test_mixture_moments_outside_the_double_range_raise_capacity_error():
             with pytest.raises(CapacityError, match=f"order-{order} moment"):
                 mixture_moment(mix, order)
         with pytest.raises(CapacityError, match="double range"):
-            mixture_integral(mix)
+            mixture_moment(mix, 0)
     tiny = conv_mixture((1e-300, 2e-300))
     with pytest.raises(CapacityError, match="order-2 moment"):
         mixture_quantile(tiny, 0.5)
@@ -701,13 +717,13 @@ def test_density_mixtures_integrate_to_one(rates):
     mix = conv_mixture(tuple(rates))
     assert mix.is_density
     kappa = conv_coefficients(tuple(rates)).condition_estimate
-    assert mixture_integral(mix) == pytest.approx(1.0, abs=max(1e-10, 1e-12 * kappa))
+    assert mixture_moment(mix, 0) == pytest.approx(1.0, abs=max(1e-10, 1e-12 * kappa))
 
 
 def test_density_mixtures_integrate_to_one_representative_sets():
     for rates in random_rate_sets(seed=424242, n_sets=40, n_min=2, n_max=8):
         mix = conv_mixture(rates)
-        assert mixture_integral(mix) == pytest.approx(1.0, abs=1e-10)
+        assert mixture_moment(mix, 0) == pytest.approx(1.0, abs=1e-10)
 
 
 @settings(deadline=None, max_examples=15)

@@ -24,7 +24,6 @@ from expstat import (
     min_law,
     mixture_cdf,
     mixture_eval,
-    mixture_integral,
     mixture_moment,
     mixture_quantile,
     order_statistic_cdf,
@@ -119,7 +118,7 @@ def test_max_mixture_normalization_up_to_twelve():
     rng = np.random.default_rng(24)
     for n in (2, 5, 9, 12):
         rates = tuple(np.exp(rng.uniform(np.log(0.1), np.log(10.0), size=n)))
-        assert mixture_integral(max_mixture(rates)) == pytest.approx(1.0, abs=1e-10)
+        assert mixture_moment(max_mixture(rates), 0) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_max_pdf_matches_cdf_derivative():
@@ -192,7 +191,7 @@ def test_range2_frozen_values():
     np.testing.assert_allclose(range_pdf((1.0, 2.0), z), 2.0 / 3.0 * (np.exp(-z) + np.exp(-2.0 * z)), rtol=4.5e-16)
     parts = _leave_one_out((1.0, 2.0))
     assert math.fsum(w * mixture_moment(max_mixture(rest), 1) for w, rest in parts) == pytest.approx(5.0 / 6.0, rel=1e-15)
-    assert math.fsum(w * mixture_integral(max_mixture(rest)) for w, rest in parts) == pytest.approx(1.0, abs=1e-15)
+    assert math.fsum(w * mixture_moment(max_mixture(rest), 0) for w, rest in parts) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_range_of_two_rates_is_the_two_term_mixture():
@@ -210,7 +209,7 @@ def test_range_of_two_rates_is_the_two_term_mixture():
 def test_range_integrals_come_from_the_leave_one_out_max_mixtures():
     rates = (0.3, 1.1, 2.0, 4.5)
     parts = _leave_one_out(rates)
-    assert math.fsum(w * mixture_integral(max_mixture(rest)) for w, rest in parts) == pytest.approx(1.0, abs=1e-14)
+    assert math.fsum(w * mixture_moment(max_mixture(rest), 0) for w, rest in parts) == pytest.approx(1.0, abs=1e-14)
     mean = math.fsum(w * mixture_moment(max_mixture(rest), 1) for w, rest in parts)
     # E[max] - E[min] by the merge identity
     expected = mixture_moment(max_mixture(rates), 1) - 1.0 / math.fsum(rates)
@@ -335,7 +334,7 @@ def test_merge_identity_holds_for_any_two_rates(r1, r2, s):
 
 def test_max2_integrates_to_one():
     rates = (0.3, 7.0)
-    assert mixture_integral(max_mixture(rates)) == pytest.approx(1.0, abs=1e-12)
+    assert mixture_moment(max_mixture(rates), 0) == pytest.approx(1.0, abs=1e-12)
     # at s = 0 the merge identity compares the integrals of max and of min + range
     assert merge_residual_ratio(rates, 0.0) <= 1.0
     assert range_cdf(rates, 200.0) == pytest.approx(1.0, abs=2.3e-16)

@@ -10,29 +10,26 @@ other.  Every sum-law operation takes one of two routes, chosen by
 ``sum_route``:
 
 * ``closed-form``: a signed mixture, either the combination above for
-  well-separated distinct rates or, when every rate is the same, the one
-  exact Gamma term;
-* ``phase-type``: every other rate vector, that is distinct rates closer
-  than ``SWITCH_THRESHOLD`` (relative) and any repeated rate beside other
-  rates, is evaluated as the absorption time of a chain of N stages in
-  series plus one absorbing state.  With E = expm(Q z) for its
+  distinct rates whose rounding bound N max|A_n| eps is at most
+  CDF_CLAMP_WINDOW or, when every rate is the same, the one exact Gamma term;
+* ``phase-type``: every other rate vector, that is distinct rates past
+  that bound and any repeated rate beside other rates, is evaluated as
+  the absorption time of a chain of N stages in series plus one
+  absorbing state.  With E = expm(Q z) for its
   (N+1) x (N+1) generator Q, the pdf is E[0, N-1] lambda_N and the cdf is
   E[0, N], or one minus the transient mass above the median.  ``expm``
   here is the entrywise-accurate exponential of a Metzler matrix (Xue &
   Ye, Math. Comp. 2013), built from sums and products of non-negative
   numbers, so both tails keep their relative accuracy whatever the gaps,
   and scipy.linalg is not imported; the route's quantiles take
-  safeguarded Newton steps, one expm each.
+  safeguarded Newton steps from the gamma quantile, one expm each.
 
 Repeated rates beside other rates give the confluent (Erlang-block)
 expansion of conv_mixture, whose coefficients cancel once two clusters
-meet just as those of close distinct rates do: on (0.5, 0.6, 3.0) x 4 its
-cdf is off by 9e19 relative at 1e-3 of the mean, where the chain holds
-1e-13, so those sums run on the chain at any gap.  The rates are taken as
-given: close but unequal rates are not merged into a cluster.  The gap
-rule ignores the number of rates, so the handoff is not continuous: at N=6
-and gap 1.1e-3, just above the threshold, the closed form is off by
-relative pdf errors near 0.15.
+meet (9e19 relative at 1e-3 of the mean on (0.5, 0.6, 3.0) x 4), so those
+sums run on the chain at any gap; close but unequal rates are not merged.
+The bound sees both the gaps and N, and it is absolute: far in the lower
+tail a closed form keeps its absolute accuracy, not its relative one.
 
 char_fn_product and char_fn_linear_combination evaluate the two sides of
 the paper's transform identity prod_j lambda_j / (lambda_j - i t) =
@@ -53,6 +50,7 @@ from typing import Union
 import numpy as np
 
 from .core import (
+    CDF_CLAMP_WINDOW,
     RatesLike,
     RateVector,
     SignedExponentialMixture,
@@ -64,10 +62,6 @@ from .core import (
     mixture_quantile,
 )
 from .errors import CapacityError, DegenerateRatesError, DomainError, NumericalError
-
-# Minimal cross-cluster relative gap below which sum_route delegates
-# evaluation to the phase-type route instead of the signed closed form.
-SWITCH_THRESHOLD = 1e-3
 
 # ---------------------------------------------------------------------------
 # partial-fraction coefficients
@@ -167,18 +161,18 @@ def conv_mixture(rates: RatesLike) -> SignedExponentialMixture:
     floats); each repeated rate contributes Erlang-block terms of degree up
     to multiplicity - 1 at that rate, formed exactly and rounded once
     (_confluent_terms), and all rates equal recovers the Gamma(N, rate)
-    density.  The coefficients grow without bound as cross-cluster gaps
-    shrink, and those of two or more clusters cancel at any gap once a rate
-    repeats, so conv_pdf, conv_cdf and conv_quantile evaluate this mixture
-    only for well-separated distinct rates and for a single repeated rate
-    (sum_route); it is built here for callers who ask for the mixture itself.
+    density.  conv_pdf, conv_cdf and conv_quantile evaluate it only where
+    sum_route finds its cancellation harmless.
     """
     rv = as_rate_vector(rates)
     if rv.is_distinct:
-        coeffs = conv_coefficients(rv)
-        terms = [(a * ln, ln, 0) for a, ln in zip(coeffs.coefficients, coeffs.rates)]
-    else:
-        terms = _confluent_terms(rv.cluster_rates, rv.cluster_sizes)
+        return _distinct_mixture(conv_coefficients(rv))
+    return SignedExponentialMixture.from_terms(_confluent_terms(rv.cluster_rates, rv.cluster_sizes), is_density=True)
+
+
+def _distinct_mixture(coeffs: ConvolutionCoefficients) -> SignedExponentialMixture:
+    """The degree-0 density terms A_n lambda_n exp(-lambda_n z) of distinct-rate coefficients."""
+    terms = [(a * ln, ln, 0) for a, ln in zip(coeffs.coefficients, coeffs.rates)]
     return SignedExponentialMixture.from_terms(terms, is_density=True)
 
 
@@ -252,8 +246,7 @@ def _absorption(q: np.ndarray, zz: float | np.ndarray) -> tuple[float | np.ndarr
     Metzler exponential keeps its relative accuracy, so the cdf takes the
     form that does not cancel: the absorbing entry E[0, N] where the
     transient mass T = sum_{j<N} E[0, j] is at least 1/2, and 1 - T above
-    the median, where E[0, N] loses mass in the squarings (on (1, 1.0005, 2)
-    it read 1 - 5e-10 at z = 1e6 and 0 from z = 1e50).  Both lie in [0, 1].
+    the median, where E[0, N] loses mass in the squarings.  Both lie in [0, 1].
     A scalar reads row 0 of one expm(Q z), the identity row at z = 0.  An
     array takes one pass over the points in sorted order, which carries the
     state from each point to the next by the semigroup step
@@ -300,10 +293,8 @@ def conv_pdf_phase_type(rates: RatesLike, z: float | np.ndarray) -> float | np.n
 
     ``z`` is a scalar (float result, one matrix exponential) or an array
     (one matrix exponential per distinct gap between sorted points, see
-    _absorption).  Serves as the gap-independent evaluation path: every entry
-    of the exponential is accurate to a few eps relative, so the density
-    keeps its relative accuracy into both tails, and it agrees with the
-    closed form to ~1e-12 relative wherever that is well conditioned.
+    _absorption).  Every entry of the exponential is accurate to a few eps
+    relative, so the density keeps its relative accuracy into both tails.
     """
     q = _absorbing_generator(as_rate_vector(rates))
     return _absorption(q, _check_points(z))[1]
@@ -316,17 +307,21 @@ def conv_pdf_phase_type(rates: RatesLike, z: float | np.ndarray) -> float | np.n
 def sum_route(rates: RatesLike) -> tuple[str, Union[SignedExponentialMixture, np.ndarray]]:
     """The evaluation route of the sum law and the form it evaluates; the one place it is decided.
 
-    ("closed-form", conv_mixture) for distinct rates whose smallest relative
-    gap is at least SWITCH_THRESHOLD and for a single repeated rate (one
-    exact Gamma term); else ("phase-type", Q) with Q the absorbing generator
-    (_absorbing_generator).  Two or more clusters with a repeated rate take
-    the chain at any gap: their Erlang-block coefficients cancel as close
-    distinct rates do (see the module docstring).
+    ("closed-form", mixture) for a single repeated rate (one exact Gamma term)
+    and for distinct rates whose cdf rounding N max|A_n| eps (the mixture's
+    _cdf_kernel bound) is at most CDF_CLAMP_WINDOW; else ("phase-type", Q),
+    Q the absorbing generator.
     """
     rv = as_rate_vector(rates)
-    if rv.min_cross_cluster_gap < SWITCH_THRESHOLD or 1 < len(rv.clusters) < rv.n:
-        return "phase-type", _absorbing_generator(rv)
-    return "closed-form", conv_mixture(rv)
+    if len(rv.clusters) == 1:
+        return "closed-form", conv_mixture(rv)
+    try:
+        coeffs = conv_coefficients(rv) if rv.is_distinct else None
+    except NumericalError:  # an A_n that is not a finite double
+        coeffs = None
+    if coeffs is not None and rv.n * coeffs.condition_estimate * math.ulp(1.0) <= CDF_CLAMP_WINDOW:
+        return "closed-form", _distinct_mixture(coeffs)
+    return "phase-type", _absorbing_generator(rv)
 
 
 def conv_pdf(rates: RatesLike, z: float | np.ndarray) -> float | np.ndarray:
@@ -350,11 +345,10 @@ def conv_cdf(rates: RatesLike, z: float | np.ndarray) -> float | np.ndarray:
 def conv_quantile(rates: RatesLike, p: float) -> float:
     """Inverse cdf of the sum; cdf residual at most 1e-10.
 
-    The route decides the solver.  The closed-form route solves cdf(t) = p
-    by Brent's method (mixture_quantile).  The phase-type route takes Newton
-    steps safeguarded by bisection from the mean: one matrix exponential
-    expm(Q t) gives both the cdf and the pdf (_absorption), so each step
-    costs one expm (about 7 per quantile on average).
+    The route decides the solver: Brent's method on the closed form
+    (mixture_quantile), safeguarded Newton steps on the chain
+    (_newton_quantile), each one expm(Q t) giving both the cdf and the pdf
+    (_absorption), about 4 per quantile.
     """
     rv = as_rate_vector(rates)
     route, form = sum_route(rv)

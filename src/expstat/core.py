@@ -23,6 +23,7 @@ import operator
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property
+from statistics import NormalDist
 from typing import Iterable, NamedTuple, Sequence, Union
 
 import numpy as np
@@ -112,6 +113,13 @@ def gammainc(a, x):
 # argument checks
 
 
+def _shown(value) -> str:
+    """repr(value), but an int past the double range by its bit length: past 4300 digits repr raises."""
+    if isinstance(value, int) and not -_DOUBLE_MAX <= value <= _DOUBLE_MAX:
+        return f"an int of {value.bit_length()} bits"
+    return repr(value)
+
+
 def _check_rate(value, name: str) -> float:
     """``value`` as a float; DomainError naming ``name`` unless a finite positive real number."""
     try:
@@ -119,7 +127,7 @@ def _check_rate(value, name: str) -> float:
     except (TypeError, ValueError, OverflowError):  # None, a complex number, a string that is no number, a huge int
         rate = math.nan
     if not (math.isfinite(rate) and rate > 0.0):
-        raise DomainError(f"{name} must be finite and positive, got {value!r}")
+        raise DomainError(f"{name} must be finite and positive, got {_shown(value)}")
     return rate
 
 
@@ -143,7 +151,7 @@ def _check_points(z) -> float | np.ndarray:
     """
     if isinstance(z, (int, float)):
         if not 0.0 <= z <= _DOUBLE_MAX:  # false for NaN, the infinities and ints past the double range
-            raise DomainError(f"points must be finite and non-negative, got {z!r}")
+            raise DomainError(f"points must be finite and non-negative, got {_shown(z)}")
         return float(z)
     try:
         zz = np.asarray(z, dtype=np.float64)
@@ -181,7 +189,7 @@ class RateVector:
         try:
             rates = tuple(_check_rate(r, "rates") for r in self.rates)
         except TypeError:  # a single number, or anything else that is not iterable
-            raise DomainError(f"rates must be a sequence of numbers, got {self.rates!r}") from None
+            raise DomainError(f"rates must be a sequence of numbers, got {_shown(self.rates)}") from None
         if len(rates) == 0:
             raise DomainError("rate vector must be non-empty")
         object.__setattr__(self, "rates", rates)
@@ -231,14 +239,6 @@ class RateVector:
     @property
     def cluster_sizes(self) -> tuple[int, ...]:
         return tuple(len(g) for g in self.clusters)
-
-    @property
-    def min_cross_cluster_gap(self) -> float:
-        """Smallest relative gap between adjacent cluster rates (inf if one cluster)."""
-        reps = self.cluster_rates
-        if len(reps) < 2:
-            return math.inf
-        return min((b - a) / b for a, b in zip(reps, reps[1:]))
 
 
 RatesLike = Union[RateVector, Sequence[float]]
@@ -501,10 +501,8 @@ def _cdf_raw(m: SignedExponentialMixture, z: float) -> float:
     _cdf_kernel.  fsum rounds correctly in any order unless a partial sum
     overflows.  At z >= 0 every term is at most |a| or |b|, so below the
     kernel's bound no partial sum can overflow and the terms are summed as
-    they come.  Anywhere else (negative bracket points, where terms reach
-    +-inf, or coefficients near the double range) the terms are summed in
-    descending magnitude, the order that decides which sums overflow and
-    so whether fsum raises OverflowError.
+    they come; else (or at z < 0) in descending magnitude, the order that
+    decides whether fsum raises OverflowError.
     """
     a, nl, b, k1, lam, bound = m._cdf_kernel
     flat = a * np.expm1(nl * z) if a.size else a
@@ -657,17 +655,19 @@ def _brentq(f, xa: float, xb: float, xtol: float, rtol: float, maxiter: int) -> 
 def _quantile_bracket(cdf, p: float, mean: float, var: float) -> float:
     """Top of the bracket [0, top] of cdf(t) = p: mean + 40 sigma, times 1.5 until cdf(top) >= p.
 
-    Raises NumericalError after 200 expansions or as soon as cdf(top) at a
-    positive top repeats its value at the previous top: the cdf has stopped
-    moving below p.
+    Raises NumericalError when mean + 40 sigma is not positive and finite
+    (cancelled moments), after 200 expansions, or once cdf(top) repeats its
+    previous value: the cdf has stopped below p.
     """
     hi = mean + QUANTILE_BRACKET_SIGMAS * math.sqrt(var)
+    if not 0.0 < hi < math.inf:
+        raise NumericalError(f"mean {mean!r} and variance {var!r} give the quantile bracket top {hi!r}")
     previous = None
     for _ in range(200):
         value = cdf(hi)
         if value >= p:
             return hi
-        if value == previous and hi > 0.0:
+        if value == previous:
             break
         previous = value
         hi *= 1.5
@@ -677,7 +677,7 @@ def _quantile_bracket(cdf, p: float, mean: float, var: float) -> float:
 def _check_level(p) -> float:
     """p as a float, so a float32 does not round cdf(t) - p; DomainError unless a real scalar in (0, 1)."""
     if not (isinstance(p, numbers.Real) and 0.0 < p < 1.0):
-        raise DomainError(f"quantile level must be a real scalar strictly in (0,1), got {p!r}")
+        raise DomainError(f"quantile level must be a real scalar strictly in (0,1), got {_shown(p)}")
     return float(p)
 
 
@@ -702,19 +702,22 @@ def _solve_quantile(cdf, p: float, mean: float, var: float) -> float:
 
 
 def _newton_quantile(cdf_pdf, p: float, mean: float, var: float) -> float:
-    """Root of cdf(t) = p by Newton steps safeguarded by bisection.
+    """Root of cdf(t) = p by Newton steps from the gamma quantile, safeguarded by bisection.
 
-    ``cdf_pdf(t)`` returns (cdf, pdf) from one evaluation.  The iteration
-    starts at the mean inside the _quantile_bracket.  Each evaluated point
-    tightens the bracket, and a Newton step that would leave it is replaced
-    by bisection.  The iteration stops when the Newton step or the bracket
-    is at most 1e-13 + 4 eps t and returns the last evaluated point, whose
-    cdf gives the residual check (NumericalError above 1e-10) without a
-    further evaluation.
+    ``cdf_pdf(t)`` returns (cdf, pdf) from one evaluation.  The start is the
+    Wilson-Hilferty quantile of the gamma law with the given mean and
+    variance, or its lower bound theta (p Gamma(k+1))^(1/k) where larger.
+    Below the median a step is Newton on log F, nearly linear in the lower
+    tail.  The bracket is open above until a step leaves it; then the
+    _quantile_bracket top closes it, and a step still outside bisects.  It
+    stops when the step or the bracket is at most 1e-13 + 4 eps t and checks
+    the last point's residual (NumericalError above 1e-10).
     """
     p = _check_level(p)
-    lo, hi = 0.0, _quantile_bracket(lambda t: cdf_pdf(t)[0], p, mean, var)
-    t = mean
+    k, theta = mean / var * mean, var / mean
+    cube = 1.0 - 1.0 / (9.0 * k) + NormalDist().inv_cdf(p) / (3.0 * math.sqrt(k))
+    t = max(k * theta * max(cube, 0.0) ** 3, theta * math.exp((math.log(p) + math.lgamma(k + 1.0)) / k))
+    lo, hi = 0.0, math.inf
     for _ in range(200):
         cdf, pdf = cdf_pdf(t)
         if cdf < p:
@@ -723,10 +726,13 @@ def _newton_quantile(cdf_pdf, p: float, mean: float, var: float) -> float:
             hi = t
         else:
             break
-        step = (cdf - p) / pdf if pdf > 0.0 else math.inf
+        residual = math.log(cdf / p) * cdf if p < 0.5 and cdf > 0.0 else cdf - p
+        step = residual / pdf if pdf > 0.0 else math.inf
         xtol = 1e-13 + 4 * math.ulp(1.0) * t
         if abs(step) <= xtol or hi - lo <= xtol:
             break
+        if not lo < t - step < hi and hi == math.inf:
+            hi = _quantile_bracket(lambda x: cdf_pdf(x)[0], p, mean, var)
         t = t - step if lo < t - step < hi else 0.5 * (lo + hi)
     else:
         raise NumericalError(f"quantile iteration at p={p} did not converge in 200 steps")

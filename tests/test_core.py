@@ -129,12 +129,6 @@ def test_exactly_repeated_rates_cluster():
     assert rv.cluster_rates == (2.0,)
 
 
-def test_min_cross_cluster_gap():
-    rv = RateVector((1.0, 2.0))
-    assert rv.min_cross_cluster_gap == pytest.approx(0.5, rel=1e-15)
-    assert RateVector((3.0,)).min_cross_cluster_gap == math.inf
-
-
 @settings(deadline=None)
 @given(rate_strategy(min_size=2, max_size=8), st.randoms(use_true_random=False))
 def test_clustering_is_permutation_invariant(rates, rnd):
@@ -334,6 +328,19 @@ def test_rates_gate_refuses_what_is_not_a_sequence_of_positive_reals(rates):
             build(rates)
 
 
+def test_points_gate_refuses_an_int_past_the_digit_limit():
+    # 10**5000 has more than 4300 digits, so its repr raised ValueError in place of DomainError
+    with pytest.raises(DomainError, match="points must be finite and non-negative, got an int of 16610 bits"):
+        conv_pdf((1.0, 2.0), 10**5000)
+
+
+def test_rates_gate_refuses_an_int_past_the_digit_limit():
+    with pytest.raises(DomainError, match="rates must be finite and positive, got an int of 16610 bits"):
+        RateVector((10**5000,))
+    with pytest.raises(DomainError, match="rates must be a sequence of numbers, got an int of 16610 bits"):
+        RateVector(10**5000)
+
+
 _ARRAY_KERNELS = {
     "conv_pdf closed-form": lambda z: conv_pdf((1.0, 2.0, 3.0), z),
     "conv_cdf closed-form": lambda z: conv_cdf((1.0, 2.0, 3.0), z),
@@ -491,13 +498,13 @@ def test_quantile_levels_take_numpy_scalars():
 
 
 def test_grid_cdf_reports_its_clamps_once_per_call(caplog):
-    # the closed form cancels at N = 100; the scalar path logged "clamping -209724.7 to 0",
-    # the grid clipped to 0 without a record
+    # the closed form cancels at N = 100 (sum_route sends that sum to the chain); the scalar
+    # path logged "clamping -209724.7 to 0", the grid clipped to 0 without a record
     rates = tuple(np.geomspace(0.1, 10.0, 100))
     mean = math.fsum(1.0 / x for x in rates)
     z = np.array([0.5, 1.0, 1.5]) * mean
     with caplog.at_level("WARNING", logger="expstat.core"):
-        values = conv_cdf(rates, z)
+        values = mixture_cdf_grid(conv_mixture(rates), z)
     assert values.tolist() == [0.0, 0.0, 0.0]
     records = [r for r in caplog.records if "mixture_cdf_grid" in r.getMessage()]
     assert len(records) == 1
@@ -525,6 +532,17 @@ def test_quantile_bracket_stops_once_the_cdf_stops_moving(monkeypatch):
     with pytest.raises(NumericalError, match="failed to bracket quantile level 0.9"):
         mixture_quantile(half, 0.9)
     assert 2 <= len(calls) <= 5, calls
+
+
+def test_quantile_of_a_mixture_whose_moments_cancel_raises_numerical_error(recwarn):
+    # the closed form of (1 + 1.1e-3)^i, i < 8, gives the mean -2096 (the sum's is 7.97), so the
+    # bracket top mean + 40 sigma is negative; the cdf there overflowed in expm1 and fsum raised
+    # an untyped ValueError ("-inf + inf in fsum")
+    mixture = conv_mixture(tuple((1.0 + 1.1e-3) ** i for i in range(8)))
+    assert mixture_moment(mixture, 1) < 0.0
+    with pytest.raises(NumericalError, match="mean -2.* and variance .* give the quantile bracket top"):
+        mixture_quantile(mixture, 0.5)
+    assert not recwarn.list
 
 
 def _reference_cdf_raw(m, z):
@@ -581,7 +599,7 @@ def test_cdf_kernel_is_bit_identical_to_the_reference():
     # the same at a negative point, with ordinary coefficients
     mixtures.append(SignedExponentialMixture.from_terms([(-1.0, 1.0, 0), (-1.0, 1.0000001, 0), (1.5, 1.0000002, 0)]))
     zs = (0.0, 1e-300, 1e-12, 0.01, 0.5, 1.0, 3.0, 10.0, 50.0, 700.0, 1e4, 1e300)
-    # negative points are where a cancelled-moment bracket sends the quantile solver
+    # negative points lie outside the domain; the kernel still gives the reference's outcome there
     zs += (-1e-3, -0.5, -5.0, -50.0, -200.0, -236.0, -300.0, -709.1, -1e3, -1e300)
     outcomes = []
     for m in mixtures:

@@ -21,8 +21,10 @@ other.  Every sum-law operation takes one of two routes, chosen by
   here is the entrywise-accurate exponential of a Metzler matrix (Xue &
   Ye, Math. Comp. 2013), built from sums and products of non-negative
   numbers, so both tails keep their relative accuracy whatever the gaps,
-  and scipy.linalg is not imported; the route's quantiles take
-  safeguarded Newton steps from the gamma quantile, one expm each.
+  and scipy.linalg is not imported.
+
+Both routes' quantiles take safeguarded Newton steps from the gamma quantile
+in core._newton_quantile, one cdf and pdf evaluation per step (one expm).
 
 Repeated rates beside other rates give the confluent (Erlang-block)
 expansion of conv_mixture, whose coefficients cancel once two clusters
@@ -210,7 +212,9 @@ def expm(a: np.ndarray) -> np.ndarray:
     powers[1] = b * 2.0**-s
     for j in range(2, p + 1):
         np.matmul(powers[j - 1], powers[1], out=powers[j])
-    inverse_factorials = np.concatenate(([1.0], 1.0 / np.cumprod(np.arange(1.0, p * q))))
+    inverse_factorials = np.zeros(p * q)  # 1/k!, and past k = 170, where k! overflows, the 0 that 1/k! rounds to
+    inverse_factorials[0] = 1.0
+    inverse_factorials[1:171] = 1.0 / np.cumprod(np.arange(1.0, min(p * q, 171)))
     blocks = (inverse_factorials.reshape(q, p) @ powers[:p].reshape(p, n * n)).reshape(q, n, n)
     e = blocks[q - 1]
     for i in range(q - 2, -1, -1):
@@ -345,10 +349,10 @@ def conv_cdf(rates: RatesLike, z: float | np.ndarray) -> float | np.ndarray:
 def conv_quantile(rates: RatesLike, p: float) -> float:
     """Inverse cdf of the sum; cdf residual at most 1e-10.
 
-    The route decides the solver: Brent's method on the closed form
-    (mixture_quantile), safeguarded Newton steps on the chain
-    (_newton_quantile), each one expm(Q t) giving both the cdf and the pdf
-    (_absorption), about 4 per quantile.
+    Both routes solve with _newton_quantile: the closed form through
+    mixture_quantile, the chain with the sum's moments and one expm(Q t)
+    per step giving both the cdf and the pdf (_absorption), about 4 per
+    quantile.
     """
     rv = as_rate_vector(rates)
     route, form = sum_route(rv)

@@ -595,153 +595,89 @@ def mixture_moment(m: SignedExponentialMixture, order: int) -> float:
     raise CapacityError(f"the order-{order} moment of the mixture lies outside the double range")
 
 
-def _brentq(f, xa: float, xb: float, xtol: float, rtol: float, maxiter: int) -> float:
-    """Root of f on [xa, xb] by Brent's method, step for step as scipy.optimize.brentq.
+def _quantile_bracket(cdf, p: float, top: float) -> float:
+    """Top of the bracket [0, top] of cdf(t) = p: ``top``, times 1.5 until cdf(top) >= p.
 
-    A port of scipy's C ``brentq`` (inverse quadratic or secant steps,
-    bisection when a step is too long or too slow), so roots agree with scipy
-    bit for bit without importing scipy.optimize.  Raises ValueError when
-    f(xa) and f(xb) have the same sign or f returns NaN, and RuntimeError
-    when maxiter iterations do not converge, as scipy does.
-    """
-
-    def call(x: float) -> float:
-        fx = f(x)
-        if math.isnan(fx):
-            raise ValueError(f"The function value at x={x:.6g} is NaN; solver cannot continue.")
-        return fx
-
-    xpre, xcur = xa, xb
-    xblk = fblk = spre = scur = 0.0
-    fpre, fcur = call(xpre), call(xcur)
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if (fpre < 0) == (fcur < 0):
-        raise ValueError("f(a) and f(b) must have different signs")
-    for _ in range(maxiter):
-        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                denom = dblk * dpre * (fblk - fpre)
-                # the product can underflow to 0; C's infinite or NaN step then fails the test below
-                stry = -fcur * (fblk * dblk - fpre * dpre) / denom if denom != 0 else math.inf
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = call(xcur)
-    raise RuntimeError(f"Failed to converge after {maxiter} iterations, value is {xcur:f}")
-
-
-def _quantile_bracket(cdf, p: float, mean: float, var: float) -> float:
-    """Top of the bracket [0, top] of cdf(t) = p: mean + 40 sigma, times 1.5 until cdf(top) >= p.
-
-    Raises NumericalError when mean + 40 sigma is not positive and finite
-    (cancelled moments), after 200 expansions, or once cdf(top) repeats its
+    Raises NumericalError after 200 expansions, or once cdf(top) repeats its
     previous value: the cdf has stopped below p.
     """
-    hi = mean + QUANTILE_BRACKET_SIGMAS * math.sqrt(var)
-    if not 0.0 < hi < math.inf:
-        raise NumericalError(f"mean {mean!r} and variance {var!r} give the quantile bracket top {hi!r}")
     previous = None
     for _ in range(200):
-        value = cdf(hi)
+        value = cdf(top)
         if value >= p:
-            return hi
+            return top
         if value == previous:
             break
         previous = value
-        hi *= 1.5
+        top *= 1.5
     raise NumericalError(f"failed to bracket quantile level {p}")
-
-
-def _check_level(p) -> float:
-    """p as a float, so a float32 does not round cdf(t) - p; DomainError unless a real scalar in (0, 1)."""
-    if not (isinstance(p, numbers.Real) and 0.0 < p < 1.0):
-        raise DomainError(f"quantile level must be a real scalar strictly in (0,1), got {_shown(p)}")
-    return float(p)
-
-
-def _checked_root(root: float, cdf_at_root: float, p: float) -> float:
-    residual = abs(cdf_at_root - p)
-    if residual > 1e-10:
-        raise NumericalError(f"quantile residual {residual:.3e} exceeds 1e-10 at p={p}")
-    return float(root)
-
-
-def _solve_quantile(cdf, p: float, mean: float, var: float) -> float:
-    """Root of cdf(t) = p for a distribution with the given mean and variance.
-
-    Solves on the _quantile_bracket with _brentq, a port of scipy's Brent
-    solver that keeps scipy.optimize off the import path; raises
-    NumericalError unless the cdf residual at the root is at most 1e-10.
-    """
-    p = _check_level(p)
-    hi = _quantile_bracket(cdf, p, mean, var)
-    root = _brentq(lambda t: cdf(t) - p, 0.0, hi, xtol=1e-13, rtol=4 * np.finfo(float).eps, maxiter=200)
-    return _checked_root(root, cdf(root), p)
 
 
 def _newton_quantile(cdf_pdf, p: float, mean: float, var: float) -> float:
     """Root of cdf(t) = p by Newton steps from the gamma quantile, safeguarded by bisection.
 
-    ``cdf_pdf(t)`` returns (cdf, pdf) from one evaluation.  The start is the
+    The one quantile solver of the package.  ``cdf_pdf(t)`` returns (cdf, pdf)
+    from one evaluation.  Raises DomainError unless p is a real scalar in
+    (0, 1), and NumericalError before any evaluation unless mean > 0, var > 0
+    and mean + 40 sigma is finite (cancelled moments).  The start is the
     Wilson-Hilferty quantile of the gamma law with the given mean and
     variance, or its lower bound theta (p Gamma(k+1))^(1/k) where larger.
     Below the median a step is Newton on log F, nearly linear in the lower
     tail.  The bracket is open above until a step leaves it; then the
-    _quantile_bracket top closes it, and a step still outside bisects.  It
-    stops when the step or the bracket is at most 1e-13 + 4 eps t and checks
-    the last point's residual (NumericalError above 1e-10).
+    _quantile_bracket from mean + 40 sigma closes it, and a step still outside
+    bisects.  It stops when the step or the bracket is at most
+    1e-13 + 4 eps t, or at the evaluator's noise floor: once |F - p| is at
+    most 1e-10 min(p, 1 - p) and a step fails to halve it.  It returns the
+    point of least |F - p| seen and checks its residual (NumericalError
+    above 1e-10).
     """
-    p = _check_level(p)
+    if not (isinstance(p, numbers.Real) and 0.0 < p < 1.0):
+        raise DomainError(f"quantile level must be a real scalar strictly in (0,1), got {_shown(p)}")
+    p = float(p)  # so a float32 does not round cdf(t) - p
+    top = mean + QUANTILE_BRACKET_SIGMAS * math.sqrt(max(var, 0.0))
+    if not (mean > 0.0 and var > 0.0 and top < math.inf):
+        raise NumericalError(f"mean {mean!r} and variance {var!r} give the quantile bracket top {top!r}")
     k, theta = mean / var * mean, var / mean
     cube = 1.0 - 1.0 / (9.0 * k) + NormalDist().inv_cdf(p) / (3.0 * math.sqrt(k))
     t = max(k * theta * max(cube, 0.0) ** 3, theta * math.exp((math.log(p) + math.lgamma(k + 1.0)) / k))
     lo, hi = 0.0, math.inf
+    best, best_t, previous, floor = math.inf, t, math.inf, 1e-10 * min(p, 1.0 - p)
     for _ in range(200):
         cdf, pdf = cdf_pdf(t)
+        error = abs(cdf - p)
+        if error < best:
+            best, best_t = error, t
         if cdf < p:
             lo = t
         elif cdf > p:
             hi = t
         else:
             break
+        if previous / 2.0 < error <= floor:  # the cdf's rounding, not the distance to the root, sets |F - p|
+            break
+        previous = error
         residual = math.log(cdf / p) * cdf if p < 0.5 and cdf > 0.0 else cdf - p
         step = residual / pdf if pdf > 0.0 else math.inf
         xtol = 1e-13 + 4 * math.ulp(1.0) * t
         if abs(step) <= xtol or hi - lo <= xtol:
             break
         if not lo < t - step < hi and hi == math.inf:
-            hi = _quantile_bracket(lambda x: cdf_pdf(x)[0], p, mean, var)
+            hi = _quantile_bracket(lambda x: cdf_pdf(x)[0], p, top)
         t = t - step if lo < t - step < hi else 0.5 * (lo + hi)
     else:
         raise NumericalError(f"quantile iteration at p={p} did not converge in 200 steps")
-    return _checked_root(t, cdf, p)
+    if best > 1e-10:
+        raise NumericalError(f"quantile residual {best:.3e} exceeds 1e-10 at p={p}")
+    return float(best_t)
 
 
 def mixture_quantile(m: SignedExponentialMixture, p: float) -> float:
-    """Inverse cdf of a density mixture, to a cdf residual of at most 1e-10."""
+    """Inverse cdf of a density mixture, to a cdf residual of at most 1e-10.
+
+    _newton_quantile on the termwise cdf (_cdf_raw) and the density
+    (mixture_eval), from the mixture's own mean and variance.
+    """
     _require_density(m, "mixture_quantile")
     mean = mixture_moment(m, 1)
-    var = max(mixture_moment(m, 2) - mean * mean, 0.0)
-    return _solve_quantile(lambda t: _cdf_raw(m, t), p, mean, var)
+    var = mixture_moment(m, 2) - mean * mean
+    return _newton_quantile(lambda t: (_cdf_raw(m, t), mixture_eval(m, t)), p, mean, var)

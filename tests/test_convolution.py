@@ -5,6 +5,7 @@ import math
 import statistics
 import time
 import tracemalloc
+import warnings
 
 import mpmath
 import numpy as np
@@ -29,13 +30,15 @@ from expstat import (
     conv_pdf,
     conv_pdf_phase_type,
     conv_quantile,
+    max_mixture,
     mixture_cdf,
     mixture_eval,
     mixture_moment,
+    mixture_quantile,
     sum_pdf_quadrature,
     sum_route,
 )
-from expstat import convolution
+from expstat import convolution, core
 from expstat.core import CDF_CLAMP_WINDOW, mixture_eval_grid
 
 E_INV = math.exp(-1.0)
@@ -710,6 +713,102 @@ def test_tail_quantiles_take_no_more_matrix_exponentials_than_from_the_mean(monk
                 conv_quantile(rates, p)
                 assert len(calls) <= bound, (g, n, p, len(calls))
                 assert len(calls) <= (6 if p < 0.5 else 12), (g, n, p, len(calls))
+
+
+def _mp_gamma_cdf(shape, rate, z) -> float:
+    with mpmath.workdps(40):
+        return float(mpmath.gammainc(shape, 0, mpmath.mpf(rate) * mpmath.mpf(z), regularized=True))
+
+
+def _mp_max_cdf(rates, z) -> float:
+    with mpmath.workdps(40):
+        return float(mpmath.fprod([-mpmath.expm1(-mpmath.mpf(r) * mpmath.mpf(z)) for r in rates]))
+
+
+PHASE_SET = (1.0, 1.0005, 2.0, 0.7, 0.7007)
+
+# (solver, reference cdf) for every evaluator the one quantile solver serves
+QUANTILE_EVALUATORS = {
+    "gamma closed form": (lambda p: conv_quantile((2.0, 2.0, 2.0), p), lambda q: _mp_gamma_cdf(3, 2.0, q)),
+    "distinct closed form": (lambda p: conv_quantile((1.0, 2.0, 3.0), p), lambda q: _mp_sum_cdf((1.0, 2.0, 3.0), q)),
+    "distinct closed form, N = 5": (
+        lambda p: conv_quantile((0.3, 0.7, 1.9, 4.4, 8.0), p),
+        lambda q: _mp_sum_cdf((0.3, 0.7, 1.9, 4.4, 8.0), q),
+    ),
+    "erlang-block mixture": (
+        lambda p: mixture_quantile(conv_mixture((1.0, 1.0, 4.0)), p),
+        lambda q: _mp_absorption((1.0, 1.0, 4.0), q)[0],
+    ),
+    "max mixture": (
+        lambda p: mixture_quantile(max_mixture((0.3, 1.0, 7.0, 2.0)), p),
+        lambda q: _mp_max_cdf((0.3, 1.0, 7.0, 2.0), q),
+    ),
+    "chain (1, 1, 4)": (lambda p: conv_quantile((1.0, 1.0, 4.0), p), lambda q: _mp_absorption((1.0, 1.0, 4.0), q)[0]),
+    "chain, phase set": (lambda p: conv_quantile(PHASE_SET, p), lambda q: _mp_absorption(PHASE_SET, q)[0]),
+}
+
+
+@pytest.mark.parametrize("evaluator", QUANTILE_EVALUATORS)
+def test_every_evaluator_round_trips_its_quantiles_against_mpmath(evaluator):
+    assert sum_route((2.0, 2.0, 2.0))[0] == sum_route((1.0, 2.0, 3.0))[0] == "closed-form"
+    assert sum_route((1.0, 1.0, 4.0))[0] == sum_route(PHASE_SET)[0] == "phase-type"
+    solve, reference = QUANTILE_EVALUATORS[evaluator]
+    for p in (1e-12, 1e-6, 0.05, 0.5, 0.95, 1.0 - 1e-6, 1.0 - 1e-10):
+        q = solve(p)
+        assert abs(reference(q) - p) <= 1e-10, (evaluator, p, q)
+
+
+@pytest.mark.parametrize(
+    "mean, var",
+    [(-2096.0, 0.0), (0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (1.0, -1e-3), (math.nan, 1.0), (1.0, math.nan),
+     (math.inf, 1.0), (1.0, math.inf)],
+)
+def test_degenerate_moments_raise_numerical_error_before_any_evaluation(mean, var):
+    # the gamma start divides by the variance and takes its square root, so the check comes first
+    def never(t):
+        raise AssertionError(f"evaluated at {t!r}")
+
+    with pytest.raises(NumericalError, match="give the quantile bracket top"):
+        core._newton_quantile(never, 0.5, mean, var)
+
+
+STIFF = (0.01, 0.01, 100.0)
+
+
+def test_chain_quantiles_stop_at_the_cdf_noise_floor(monkeypatch):
+    # the chain's cdf noise (about 4e-12 at the median of the stiff set, times 1/pdf = 320 in t)
+    # exceeds the step tolerance, so Newton used to dither until its bracket closed: 13, 21 and
+    # 18 expm calls on the stiff set, 12 on 48 log-spaced rates
+    calls = []
+    expm = convolution.expm
+    monkeypatch.setattr(convolution, "expm", lambda a: calls.append(1) or expm(a))
+    log_spaced = tuple(float(x) for x in np.geomspace(0.1, 10.0, 48))
+    for rates, levels in ((STIFF, (0.05, 0.5, 0.95)), (log_spaced, (0.5,))):
+        assert sum_route(rates)[0] == "phase-type"
+        for p in levels:
+            calls.clear()
+            q = conv_quantile(rates, p)
+            assert len(calls) <= 6, (rates, p, len(calls))
+            assert abs(_mp_absorption(rates, q)[0] - p) <= 1e-12, (rates, p, q)
+
+
+def test_chain_at_160_rates_raises_no_warning_and_keeps_its_mass():
+    # from N = 152 the cumulative product behind expm's Taylor coefficients passed 170!, which
+    # numpy reported as an overflow in accumulate; past 170! the coefficients are the 0 that 1/k!
+    # rounds to.  The mass holds to the 2^s eps (s squarings, 12 to 14 here) that expm documents
+    rates = tuple(float(x) for x in np.geomspace(0.1, 10.0, 160))
+    mean = conv_moments(rates)[0]
+    q = convolution._absorbing_generator(RateVector(rates))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        z = mean * np.array([0.5, 1.0, 2.0])
+        cdf = conv_cdf(rates, z)
+        for x, c in zip(z.tolist(), cdf.tolist()):
+            row = convolution.expm(q * x)[0]
+            absorbed, survival = float(row[-1]), float(row[:-1].sum())
+            assert abs(absorbed + survival - 1.0) <= 1e-10, (x, absorbed, survival)
+            assert c == pytest.approx(absorbed if survival >= 0.5 else 1.0 - survival, rel=1e-12, abs=1e-300)
+    assert 0.0 < cdf[0] < cdf[1] < cdf[2] < 1.0
 
 
 @pytest.mark.parametrize(

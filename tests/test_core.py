@@ -519,19 +519,29 @@ def test_grid_cdf_reports_its_clamps_once_per_call(caplog):
 
 
 def test_quantile_bracket_stops_once_the_cdf_stops_moving(monkeypatch):
-    # flagged as a density, but its cdf levels off at 0.5: no bracket reaches p = 0.9
+    # flagged as a density, but its cdf levels off at 0.5: no bracket reaches p = 0.9.  Newton
+    # reaches the bracket only once a step leaves the open bracket (measured: 4 cdf calls before
+    # it, 3 inside it)
     half = SignedExponentialMixture.from_terms([(0.5, 1.0, 0)], is_density=True)
-    calls = []
+    calls, inside = [], []
 
     def counted(m, z):
-        calls.append(z)
+        (inside if bracketing else calls).append(z)
         return cdf_raw(m, z)
 
-    cdf_raw = core._cdf_raw
+    def bracket(*args):
+        nonlocal bracketing
+        bracketing = True
+        return quantile_bracket(*args)
+
+    bracketing = False
+    cdf_raw, quantile_bracket = core._cdf_raw, core._quantile_bracket
     monkeypatch.setattr(core, "_cdf_raw", counted)
+    monkeypatch.setattr(core, "_quantile_bracket", bracket)
     with pytest.raises(NumericalError, match="failed to bracket quantile level 0.9"):
         mixture_quantile(half, 0.9)
-    assert 2 <= len(calls) <= 5, calls
+    assert 2 <= len(inside) <= 5, inside
+    assert len(calls) + len(inside) <= 8, (calls, inside)
 
 
 def test_quantile_of_a_mixture_whose_moments_cancel_raises_numerical_error(recwarn):
@@ -683,44 +693,6 @@ def test_blocked_grid_kernels_are_bit_identical_to_one_block(rates, monkeypatch)
         assert mixture_eval_grid(m, z).tobytes() == blocked[0].tobytes(), n
         assert mixture_cdf_grid(m, z).tobytes() == blocked[1].tobytes(), n
         monkeypatch.undo()
-
-
-def _solver_outcome(solve, f, a, b, maxiter=200):
-    """The root's bits, or the exception type, of one solver call."""
-    try:
-        root = solve(f, a, b, xtol=1e-13, rtol=4 * np.finfo(float).eps, maxiter=maxiter)
-    except (ValueError, RuntimeError) as exc:
-        return type(exc)
-    return float(root).hex()
-
-
-def test_brentq_port_matches_scipy_bit_for_bit():
-    from scipy.optimize import brentq
-
-    cases = []
-    # conv_cdf - p on the closed-form, Erlang-block and phase-type routes
-    for rates in ((1.0, 2.0, 3.0), (1.0, 1.0, 4.0), (1.0, 1.0005, 2.0), (0.3, 0.7, 1.9, 4.4, 8.0)):
-        for p in (1e-9, 0.01, 0.25, 0.5, 0.9, 0.999999):
-            cases.append((lambda t, rates=rates, p=p: conv_cdf(rates, t) - p, 0.0, 60.0))
-    # toy functions: smooth, flat near the root, a step, a root at an endpoint
-    cases += [
-        (lambda x: x * x - 2.0, 0.0, 2.0),
-        (lambda x: math.cos(x) - x, -1.0, 3.0),
-        (lambda x: (x - 1.0) ** 9, -3.0, 7.0),
-        (lambda x: 1.0 if x > 0.3 else -1.0, 0.0, 1.0),
-        (lambda x: math.expm1(x), 0.0, 1.0),
-        (lambda x: 2.0 - x, -5.0, 2.0),
-        (lambda x: 1e-200 * (x**3 - 2.0), 0.0, 3.0),  # the extrapolation denominator underflows to 0
-        (lambda x: x * x - 1.0, 0.0, 0.5),  # same sign at both ends
-        (lambda x: math.nan if x > 0.7 else x - 0.9, 0.0, 1.0),  # NaN inside the bracket
-        (lambda x: math.nan, 0.0, 1.0),
-    ]
-    for f, a, b in cases:
-        for maxiter in (200, 2):
-            expected = _solver_outcome(brentq, f, a, b, maxiter)
-            assert _solver_outcome(core._brentq, f, a, b, maxiter) == expected, (a, b, maxiter)
-    outcomes = {_solver_outcome(core._brentq, f, a, b, m) for f, a, b in cases for m in (200, 2)}
-    assert {ValueError, RuntimeError} <= outcomes
 
 
 # ---------------------------------------------------------------------------

@@ -312,9 +312,9 @@ def sum_route(rates: RatesLike) -> tuple[str, Union[SignedExponentialMixture, np
     """The evaluation route of the sum law and the form it evaluates; the one place it is decided.
 
     ("closed-form", mixture) for a single repeated rate (one exact Gamma term)
-    and for distinct rates whose cdf rounding N max|A_n| eps (the mixture's
-    _cdf_kernel bound) is at most CDF_CLAMP_WINDOW; else ("phase-type", Q),
-    Q the absorbing generator.
+    and for distinct rates whose cdf rounding N max|A_n| eps (a sum of N
+    terms, each at most max|A_n|) is at most CDF_CLAMP_WINDOW; else
+    ("phase-type", Q), Q the absorbing generator.
     """
     rv = as_rate_vector(rates)
     if len(rv.clusters) == 1:

@@ -8,10 +8,11 @@ with possibly negative coefficients.  Sums of independent exponentials,
 minima, maxima and ranges all land in this family, so the mixture type
 carries the shared evaluation, integration, cdf, quantile and moment
 machinery.  Signed coefficients of alternating sign are the central
-numerical hazard; every scalar reduction here therefore goes through
-compensated summation (math.fsum, an error-free transformation).  Rates are
-taken as given: exactly repeated rates form clusters (Erlang blocks), and
-close but unequal rates keep their values.
+numerical hazard: moments are summed with math.fsum, an error-free
+transformation, and a density or cdf value at a scalar is the one-point case
+of the grid kernels, whose plain sums round within terms x max|term| eps.
+Rates are taken as given: exactly repeated rates form clusters (Erlang
+blocks), and close but unequal rates keep their values.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ import numbers
 import operator
 import sys
 from dataclasses import dataclass, field
-from functools import cached_property
 from statistics import NormalDist
 from typing import Iterable, NamedTuple, Sequence, Union
 
@@ -33,7 +33,7 @@ from .errors import CapacityError, ContractError, DomainError, NumericalError
 logger = logging.getLogger(__name__)
 
 # cdf values may round to just outside [0,1]; clamping inside this window is
-# routine (logged at debug), beyond it the overshoot is reported loudly.
+# routine and silent, beyond it the overshoot is logged as a warning.
 CDF_CLAMP_WINDOW = 1e-12
 
 # Quantile bracket: mean + 40 standard deviations covers p <= 1 - 1e-12 for
@@ -61,39 +61,15 @@ def factorial(k: np.ndarray) -> np.ndarray:
     return _FACTORIALS[np.minimum(k, 171)]
 
 
-def _gammainc_float(a: int, x: float) -> float:
-    """gammainc at one point, in Python floats."""
-    if x >= 4 * a + 50:  # Q(a, x) < e^-49 by a Chernoff bound, so P rounds to 1
-        return 1.0
-    if not x > 0.0:
-        return 0.0 if x == 0.0 else math.nan
-    lead = math.exp(a * math.log(x) - math.log(math.factorial(a)) - x)
-    term, total, j = 1.0, 1.0, float(a)
-    if x < a:
-        while term > _HALF_EPS:
-            j += 1.0
-            term *= x / j
-            total += term
-        return lead * total
-    while term > _HALF_EPS:
-        j -= 1.0
-        term *= j / x
-        total += term
-    return 1.0 - lead * a / x * total
-
-
 def gammainc(a, x):
     """Regularized lower incomplete gamma P(a, x) at integer shapes a >= 1, broadcast over (a, x).
 
     From L = x^a e^{-x} / a! = exp(a log x - log a! - x), which never overflows, P is
     L sum_i x^i / ((a+1)...(a+i)) below x = a and 1 - L (a/x) sum_i (a-1)...(a-i) / x^i from
     x = a on, a complement of at most about 1/2.  Each sum, at least 1, stops at a term below
-    eps/2.  0 at x = 0, NaN at x < 0.  At most 16 points in two 1-d arrays of one shape, as
-    the scalar cdf passes, run in Python floats, where numpy's per-call cost would dominate.
+    eps/2.  0 at x = 0, NaN at x < 0.
     """
     a, x = np.asarray(a, dtype=np.int64), np.asarray(x, dtype=np.float64)
-    if x.ndim == 1 and a.shape == x.shape and x.size <= 16:
-        return np.array(list(map(_gammainc_float, a.tolist(), x.tolist())))
     log_fact = np.array([math.log(math.factorial(k)) for k in a.ravel().tolist()]).reshape(a.shape)
     a, log_fact, x = np.broadcast_arrays(a.astype(np.float64), log_fact, x)
     out = np.where(x == np.inf, 1.0, np.nan)
@@ -375,26 +351,6 @@ class SignedExponentialMixture:
             body = f"<{self.n_terms} terms>"
         return f"SignedExponentialMixture([{body}], is_density={self.is_density})"
 
-    @cached_property
-    def _cdf_kernel(self) -> tuple[np.ndarray, ...]:
-        """Per-term constants of the termwise cdf, formed once per mixture.
-
-        (a, -rate) of the degree-0 terms, whose antiderivative is
-        a * expm1(-rate z) with a = -(c / rate); (b, k + 1, rate) of the
-        Erlang terms, b * gammainc(k + 1, rate z) with b = c k! / rate^(k+1)
-        (_gamma_weights); and the bound terms * max(|a|, |b|) on every
-        partial sum at z >= 0.  a and b are the left-to-right prefixes of each
-        term's product, so a term rounds exactly as the whole product
-        evaluated in one expression.
-        """
-        flat = self.degrees == 0
-        c, lam, k = self.coefficients, self.rates, self.degrees
-        a = -(c[flat] / lam[flat])
-        k, lam_k = k[~flat], lam[~flat]
-        b = _gamma_weights(c[~flat], k, lam_k)
-        bound = self.n_terms * float(max(np.abs(a).max(initial=0.0), np.abs(b).max(initial=0.0)))
-        return a, -lam[flat], b, k + 1, lam_k, bound
-
 
 def _require_density(m: SignedExponentialMixture, op: str) -> None:
     if not m.is_density:
@@ -442,19 +398,11 @@ def _gamma_weights(c: np.ndarray, k: np.ndarray, lam: np.ndarray) -> np.ndarray:
 def mixture_eval(m: SignedExponentialMixture, z: float | np.ndarray) -> float | np.ndarray:
     """Evaluate the mixture at z >= 0, a scalar (float result) or an array.
 
-    An array goes to mixture_eval_grid.  At a scalar, term values are
-    summed with math.fsum, which rounds the exact sum correctly in any
-    order, so alternating-sign cancellation costs no more than the rounding
-    already present in the individual terms.  A density mixture is clamped
-    at zero: a negative value there is rounding in the coefficients.
+    The grid kernel mixture_eval_grid; a scalar is its one-point grid, so
+    it has the bits of the one-point array.
     """
-    z = _check_points(z)
-    if not isinstance(z, float):
-        return mixture_eval_grid(m, z)
-    if m.n_terms == 0:
-        return 0.0
-    total = math.fsum(_term_values(m.coefficients, m.degrees, m.rates, z))
-    return max(total, 0.0) if m.is_density else total
+    vals = mixture_eval_grid(m, z)
+    return float(vals[0]) if np.ndim(z) == 0 else vals
 
 
 def _grid_blocks(n: int) -> list[slice]:
@@ -473,12 +421,12 @@ def _grid_blocks(n: int) -> list[slice]:
 def mixture_eval_grid(m: SignedExponentialMixture, z: np.ndarray) -> np.ndarray:
     """Vectorized evaluation over a grid of non-negative points.
 
-    Each point sums its terms in canonical order with plain float additions;
-    for severely ill-conditioned mixtures prefer scalar calls of
-    mixture_eval, which are fully compensated.  Points are taken GRID_BLOCK
-    at a time (_grid_blocks), so working memory is O(terms x GRID_BLOCK)
-    plus the result, and the values are those of one block bit for bit.
-    A density mixture is clamped at zero, as in mixture_eval.
+    Each point sums its terms with plain float additions, so alternating
+    signs cost up to terms x max|term| eps absolute.  Points are taken
+    GRID_BLOCK at a time (_grid_blocks), so working memory is
+    O(terms x GRID_BLOCK) plus the result, and the values are those of one
+    block bit for bit.  A density mixture is clamped at zero: a negative
+    value there is rounding in the coefficients.
     """
     zz = np.atleast_1d(_check_points(z))
     if m.n_terms == 0:
@@ -493,61 +441,17 @@ def mixture_eval_grid(m: SignedExponentialMixture, z: np.ndarray) -> np.ndarray:
     return np.maximum(vals, 0.0, out=vals) if m.is_density else vals
 
 
-def _cdf_raw(m: SignedExponentialMixture, z: float) -> float:
-    """Termwise antiderivative at a scalar z, summed with math.fsum.
-
-    Degree-0 terms go exactly through expm1, Erlang terms through the
-    regularized lower incomplete gamma, both from the mixture's precomputed
-    _cdf_kernel.  fsum rounds correctly in any order unless a partial sum
-    overflows.  At z >= 0 every term is at most |a| or |b|, so below the
-    kernel's bound no partial sum can overflow and the terms are summed as
-    they come; else (or at z < 0) in descending magnitude, the order that
-    decides whether fsum raises OverflowError.
-    """
-    a, nl, b, k1, lam, bound = m._cdf_kernel
-    flat = a * np.expm1(nl * z) if a.size else a
-    erlang = b * gammainc(k1, lam * z) if b.size else b
-    if z >= 0.0 and bound < 1e300:
-        return math.fsum(flat.tolist() + erlang.tolist())
-    vals = np.empty(m.n_terms)
-    degree0 = m.degrees == 0
-    vals[degree0] = flat
-    vals[~degree0] = erlang
-    return math.fsum(vals[np.argsort(np.abs(vals))[::-1]])
-
-
-def _clamp_unit(value: float, where: str) -> float:
-    if value < 0.0:
-        if value < -CDF_CLAMP_WINDOW:
-            logger.warning("%s: clamping %r to 0 (beyond the %g window)", where, value, CDF_CLAMP_WINDOW)
-        else:
-            logger.debug("%s: clamping %r to 0", where, value)
-        return 0.0
-    if value > 1.0:
-        if value > 1.0 + CDF_CLAMP_WINDOW:
-            logger.warning("%s: clamping %r to 1 (beyond the %g window)", where, value, CDF_CLAMP_WINDOW)
-        else:
-            logger.debug("%s: clamping %r to 1", where, value)
-        return 1.0
-    return value
-
-
 def mixture_cdf(m: SignedExponentialMixture, z: float | np.ndarray) -> float | np.ndarray:
     """Distribution function of a density mixture at z >= 0, a scalar or an array.
 
-    An array goes to mixture_cdf_grid.  A scalar value is clamped into
-    [0, 1]; overshoot beyond 1e-12 is logged as a warning rather than
-    silently absorbed.
+    mixture_cdf_grid, a scalar as the one-point grid, as in mixture_eval.
     """
-    _require_density(m, "mixture_cdf")
-    z = _check_points(z)
-    if not isinstance(z, float):
-        return mixture_cdf_grid(m, z)
-    return _clamp_unit(_cdf_raw(m, z), "mixture_cdf")
+    vals = mixture_cdf_grid(m, z)
+    return float(vals[0]) if np.ndim(z) == 0 else vals
 
 
 def mixture_cdf_grid(m: SignedExponentialMixture, z: np.ndarray) -> np.ndarray:
-    """Vectorized cdf over a grid (same termwise antiderivative as mixture_cdf).
+    """Vectorized cdf over a grid: the termwise antiderivative, clipped into [0, 1].
 
     An Erlang term adds one gammainc call per block, on every term's row;
     without one only -(c / rate) expm1(-rate z) is evaluated.  Points are
@@ -627,7 +531,8 @@ def _newton_quantile(cdf_pdf, p: float, mean: float, var: float) -> float:
     _quantile_bracket from mean + 40 sigma closes it, and a step still outside
     bisects.  It stops when the step or the bracket is at most
     1e-13 + 4 eps t, or at the evaluator's noise floor: once |F - p| is at
-    most 1e-10 min(p, 1 - p) and a step fails to halve it.  It returns the
+    most 1e-10 p below the median, max(1e-10 (1 - p), eps) from it on (F near
+    1 is quantized at eps/2), and a step fails to halve it.  It returns the
     point of least |F - p| seen and checks its residual (NumericalError
     above 1e-10).
     """
@@ -641,7 +546,8 @@ def _newton_quantile(cdf_pdf, p: float, mean: float, var: float) -> float:
     cube = 1.0 - 1.0 / (9.0 * k) + NormalDist().inv_cdf(p) / (3.0 * math.sqrt(k))
     t = max(k * theta * max(cube, 0.0) ** 3, theta * math.exp((math.log(p) + math.lgamma(k + 1.0)) / k))
     lo, hi = 0.0, math.inf
-    best, best_t, previous, floor = math.inf, t, math.inf, 1e-10 * min(p, 1.0 - p)
+    floor = 1e-10 * p if p < 0.5 else max(1e-10 * (1.0 - p), math.ulp(1.0))
+    best, best_t, previous = math.inf, t, math.inf
     for _ in range(200):
         cdf, pdf = cdf_pdf(t)
         error = abs(cdf - p)
@@ -674,10 +580,10 @@ def _newton_quantile(cdf_pdf, p: float, mean: float, var: float) -> float:
 def mixture_quantile(m: SignedExponentialMixture, p: float) -> float:
     """Inverse cdf of a density mixture, to a cdf residual of at most 1e-10.
 
-    _newton_quantile on the termwise cdf (_cdf_raw) and the density
-    (mixture_eval), from the mixture's own mean and variance.
+    _newton_quantile on mixture_cdf and mixture_eval, from the mixture's own
+    mean and variance.
     """
     _require_density(m, "mixture_quantile")
     mean = mixture_moment(m, 1)
     var = mixture_moment(m, 2) - mean * mean
-    return _newton_quantile(lambda t: (_cdf_raw(m, t), mixture_eval(m, t)), p, mean, var)
+    return _newton_quantile(lambda t: (mixture_cdf(m, t), mixture_eval(m, t)), p, mean, var)

@@ -646,7 +646,9 @@ def test_distinct_rates_take_the_closed_form_exactly_within_its_rounding_bound()
         assert route == ("closed-form" if bound <= CDF_CLAMP_WINDOW else "phase-type"), (rates, bound)
         if route == "closed-form":
             assert form == conv_mixture(rates)
-            assert form._cdf_kernel[-1] * eps <= CDF_CLAMP_WINDOW * (1.0 + 1e-12)
+            # the mixture's own cdf terms -(c / rate) expm1(-rate z) are each at most |A_n|
+            largest = float(np.max(np.abs(form.coefficients / form.rates)))
+            assert len(rates) * largest * eps <= CDF_CLAMP_WINDOW * (1.0 + 1e-12)
         routes.add(route)
     assert routes == {"closed-form", "phase-type"}
     # coefficients that are not finite doubles send the sum to the chain
@@ -790,6 +792,21 @@ def test_chain_quantiles_stop_at_the_cdf_noise_floor(monkeypatch):
             q = conv_quantile(rates, p)
             assert len(calls) <= 6, (rates, p, len(calls))
             assert abs(_mp_absorption(rates, q)[0] - p) <= 1e-12, (rates, p, q)
+
+
+def test_closed_form_upper_tail_quantiles_stop_at_the_cdf_quantum(monkeypatch):
+    # above the median F rounds to multiples of eps/2 near 1, below the old floor 1e-10 (1 - p),
+    # so Newton dithered until its bracket closed: 34 and 22 cdf evaluations
+    rates = (0.3, 0.7, 1.9, 2.5, 6.0)
+    assert sum_route(rates)[0] == "closed-form"
+    calls = []
+    cdf_grid = core.mixture_cdf_grid
+    monkeypatch.setattr(core, "mixture_cdf_grid", lambda m, z: calls.append(1) or cdf_grid(m, z))
+    for p in (1.0 - 1e-6, 1.0 - 1e-10):
+        calls.clear()
+        q = conv_quantile(rates, p)
+        assert len(calls) <= 10, (p, len(calls))
+        assert abs(_mp_sum_cdf(rates, q) - p) <= 1e-10, (p, q)
 
 
 def test_chain_at_160_rates_raises_no_warning_and_keeps_its_mass():

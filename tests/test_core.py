@@ -294,6 +294,30 @@ def test_mixture_kernels_take_arrays_and_order_statistics_reject_them():
     assert [order_statistic_cdf(_ORDER, float(x)) for x in z] == pytest.approx([0.659, 0.930, 0.997], abs=1e-3)
 
 
+@pytest.mark.parametrize(
+    "name, rates, mixture",
+    [
+        ("distinct", (1.0, 2.0, 3.0), conv_mixture((1.0, 2.0, 3.0))),
+        ("gamma", (2.0, 2.0, 2.0), conv_mixture((2.0, 2.0, 2.0))),
+        ("erlang block", None, conv_mixture((1.0, 1.0, 4.0))),
+        ("max", None, max_mixture((0.3, 1.0, 7.0, 2.0))),
+    ],
+)
+def test_a_scalar_is_the_one_point_grid_bit_for_bit(name, rates, mixture):
+    # a scalar used to run through math.fsum and a Python-float gammainc, which differ from the
+    # grid's plain row sum and numpy gammainc in the last bit
+    mean = mixture_moment(mixture, 1)
+    fns = [lambda z: mixture_eval(mixture, z), lambda z: mixture_cdf(mixture, z)]
+    if rates is not None:
+        assert conv_cdf(rates, 0.5) == mixture_cdf(mixture, 0.5)  # the sum takes this closed form
+        fns += [lambda z: conv_pdf(rates, z), lambda z: conv_cdf(rates, z)]
+    for z in (0.0, 1e-300, 1e-6, 0.5 * mean, mean, 40.0 * mean):
+        for fn in fns:
+            alone, grid = fn(z), fn(np.array([z]))
+            assert type(alone) is float and grid.shape == (1,)
+            assert alone.hex() == float(grid[0]).hex(), (name, z)
+
+
 def test_public_names_are_at_most_44_and_all_resolve():
     import expstat
 
@@ -498,8 +522,8 @@ def test_quantile_levels_take_numpy_scalars():
 
 
 def test_grid_cdf_reports_its_clamps_once_per_call(caplog):
-    # the closed form cancels at N = 100 (sum_route sends that sum to the chain); the scalar
-    # path logged "clamping -209724.7 to 0", the grid clipped to 0 without a record
+    # the closed form cancels at N = 100 (sum_route sends that sum to the chain); the grid
+    # used to clip to 0 without a record
     rates = tuple(np.geomspace(0.1, 10.0, 100))
     mean = math.fsum(1.0 / x for x in rates)
     z = np.array([0.5, 1.0, 1.5]) * mean
@@ -511,6 +535,12 @@ def test_grid_cdf_reports_its_clamps_once_per_call(caplog):
     assert "clamping 3 values" in records[0].getMessage()
     worst = float(records[0].getMessage().rsplit("worst ", 1)[1])
     assert worst < -1.0
+    # a scalar is the one-point grid, so it logs the grid's one warning
+    caplog.clear()
+    with caplog.at_level("WARNING", logger="expstat.core"):
+        assert mixture_cdf(conv_mixture(rates), float(z[1])) == 0.0
+    messages = [r.getMessage() for r in caplog.records]
+    assert len(messages) == 1 and messages[0].startswith("mixture_cdf_grid: clamping 1 values"), messages
     caplog.clear()
     with caplog.at_level("WARNING", logger="expstat.core"):
         conv_cdf((1.0, 2.0, 3.0), np.linspace(0.0, 20.0, 401))
@@ -527,7 +557,7 @@ def test_quantile_bracket_stops_once_the_cdf_stops_moving(monkeypatch):
 
     def counted(m, z):
         (inside if bracketing else calls).append(z)
-        return cdf_raw(m, z)
+        return cdf_grid(m, z)
 
     def bracket(*args):
         nonlocal bracketing
@@ -535,8 +565,8 @@ def test_quantile_bracket_stops_once_the_cdf_stops_moving(monkeypatch):
         return quantile_bracket(*args)
 
     bracketing = False
-    cdf_raw, quantile_bracket = core._cdf_raw, core._quantile_bracket
-    monkeypatch.setattr(core, "_cdf_raw", counted)
+    cdf_grid, quantile_bracket = core.mixture_cdf_grid, core._quantile_bracket
+    monkeypatch.setattr(core, "mixture_cdf_grid", counted)
     monkeypatch.setattr(core, "_quantile_bracket", bracket)
     with pytest.raises(NumericalError, match="failed to bracket quantile level 0.9"):
         mixture_quantile(half, 0.9)
@@ -555,72 +585,6 @@ def test_quantile_of_a_mixture_whose_moments_cancel_raises_numerical_error(recwa
     assert not recwarn.list
 
 
-def _reference_cdf_raw(m, z):
-    """The termwise cdf as it was before the per-mixture kernel, kept as the reference."""
-    from scipy.special import factorial
-
-    gammainc = core.gammainc
-
-    vals = np.empty(m.n_terms)
-    flat = m.degrees == 0
-    if np.any(flat):
-        c = m.coefficients[flat]
-        lam = m.rates[flat]
-        vals[flat] = -(c / lam) * np.expm1(-lam * z)
-    if not np.all(flat):
-        c = m.coefficients[~flat]
-        lam = m.rates[~flat]
-        k = m.degrees[~flat]
-        vals[~flat] = c * factorial(k) / lam ** (k + 1) * gammainc(k + 1, lam * z)
-    vals = vals[np.argsort(np.abs(vals))[::-1]]
-    return math.fsum(vals)
-
-
-def _cdf_outcome(cdf, m, z):
-    """The value's bits, or the exception's type and message, of one cdf call."""
-    try:
-        with np.errstate(all="ignore"):
-            return float(cdf(m, z)).hex()
-    except Exception as exc:
-        return type(exc).__name__, str(exc)
-
-
-def test_cdf_kernel_is_bit_identical_to_the_reference():
-    mixtures = [
-        conv_mixture(rates)
-        for rates in (
-            (1.0, 2.0, 3.0),
-            (0.3, 0.7, 1.9, 4.4, 8.0),
-            (1.0, 1.0, 4.0),
-            (2.0, 2.0, 2.0, 5.0, 5.0),
-            (0.5,) * 6,
-            tuple((1.0 + 1.1e-3) ** i for i in range(8)),  # near-equal closed form, coefficients ~1e17
-            tuple((1.0 + 1e-2) ** i for i in range(10)),
-            (0.7, 0.7, 0.7 * 1.002, 0.7 * 1.002**2, 3.0),
-        )
-    ]
-    mixtures.append(max_mixture((0.4, 1.3, 2.2, 5.0)))
-    # coefficients near the double range: the kernel falls back to the sorted sum
-    mixtures.append(SignedExponentialMixture.from_terms([(1e305, 1.0, 0), (-1e305, 1.5, 0), (3e304, 2.0, 1)]))
-    mixtures.append(SignedExponentialMixture.from_terms([(1.7e308, 0.5, 0), (-1.0, 2.0, 0), (2.0, 1.0, 2)]))
-    mixtures.append(SignedExponentialMixture.from_terms([(-1.2e308, 1.0, 0), (-1.7e308, 1.5, 0)]))  # terms sum past the double range
-    # in rate order the first two terms overflow, in descending magnitude they do not
-    mixtures.append(SignedExponentialMixture.from_terms([(5e307, 0.5, 0), (6e307, 0.6, 0), (-1.5e308, 1.0, 0)]))
-    # the same at a negative point, with ordinary coefficients
-    mixtures.append(SignedExponentialMixture.from_terms([(-1.0, 1.0, 0), (-1.0, 1.0000001, 0), (1.5, 1.0000002, 0)]))
-    zs = (0.0, 1e-300, 1e-12, 0.01, 0.5, 1.0, 3.0, 10.0, 50.0, 700.0, 1e4, 1e300)
-    # negative points lie outside the domain; the kernel still gives the reference's outcome there
-    zs += (-1e-3, -0.5, -5.0, -50.0, -200.0, -236.0, -300.0, -709.1, -1e3, -1e300)
-    outcomes = []
-    for m in mixtures:
-        for z in zs:
-            expected = _cdf_outcome(_reference_cdf_raw, m, z)
-            assert _cdf_outcome(core._cdf_raw, m, z) == expected, (m, z)
-            outcomes.append(expected)
-    kinds = {o[0] if isinstance(o, tuple) else "value" for o in outcomes}
-    assert {"value", "ValueError", "OverflowError"} <= kinds, kinds
-
-
 def test_factorial_table_matches_scipy():
     from scipy.special import factorial
 
@@ -631,8 +595,7 @@ def test_factorial_table_matches_scipy():
 
 def test_gammainc_holds_3e_13_against_mpmath_to_shape_200():
     # integer shapes a = 1..200, x from 1e-300 to 1e4 and around x = a, where the two sums meet;
-    # each shape once through the numpy loops (23 points in one call) and once through the
-    # Python-float loops (one point per call)
+    # each shape once with 23 points in one call and once with one point per call
     worst = 0.0
     for a in range(1, 201):
         x = np.concatenate((np.geomspace(1e-300, 1e4, 17), a * np.array([0.5, 0.96, 1 - 1e-12, 1.0, 1.04, 1.5])))

@@ -24,22 +24,16 @@ from .convolution import (
     conv_mixture,
     conv_moments,
     conv_pdf,
-    conv_pdf_phase_type,
     conv_quantile,
-    sum_route,
 )
 from .errors import (
     CapacityError,
     ContractError,
-    DegenerateRatesError,
     DomainError,
     ExpstatError,
     NumericalError,
 )
 from .montecarlo import (
-    FactorizationReport,
-    GoodnessOfFitReport,
-    SampleBatch,
     factorization_test,
     ks_test,
     sample_max,
@@ -51,10 +45,8 @@ from .montecarlo import (
 from .orderstats import (
     OrderStatisticRequest,
     max_cdf,
-    max_mixture,
     max_pdf,
     min_cdf,
-    min_law,
     min_pdf,
     order_statistic_cdf,
     order_statistic_pdf,
@@ -68,15 +60,11 @@ __version__ = "0.1.0"
 __all__ = [
     "CapacityError",
     "ContractError",
-    "DegenerateRatesError",
     "DomainError",
     "ExpstatError",
-    "FactorizationReport",
-    "GoodnessOfFitReport",
     "NumericalError",
     "OrderStatisticRequest",
     "RateVector",
-    "SampleBatch",
     "SignedExponentialMixture",
     "char_fn_linear_combination",
     "char_fn_product",
@@ -85,15 +73,12 @@ __all__ = [
     "conv_mixture",
     "conv_moments",
     "conv_pdf",
-    "conv_pdf_phase_type",
     "conv_quantile",
     "factorization_test",
     "ks_test",
     "max_cdf",
-    "max_mixture",
     "max_pdf",
     "min_cdf",
-    "min_law",
     "min_pdf",
     "mixture_cdf",
     "mixture_eval",
@@ -109,5 +94,4 @@ __all__ = [
     "sample_order",
     "sample_sum",
     "sum_pdf_quadrature",
-    "sum_route",
 ]

@@ -13,8 +13,8 @@ Three subcommands:
   An identity check whose allowance, scaled by the coefficients' size, is
   not below 1 (the transforms' own scale) cannot fail and is skipped.
 
-Argument rules live in the library: its DomainError, DegenerateRatesError
-or CapacityError on an argument is a usage error.
+Argument rules live in the library: its DomainError or CapacityError on an
+argument is a usage error.
 
 Exit status: 0 on success, 1 when a ``check`` fails, 2 on usage errors.
 The EXPSTAT_SEED environment variable supplies the default seed; an explicit
@@ -44,8 +44,18 @@ from .convolution import (
     conv_quantile,
     sum_route,
 )
-from .core import GRID_BLOCK, RatesLike, RateVector, _term_values, as_rate_vector, mixture_eval, mixture_moment
-from .errors import CapacityError, DegenerateRatesError, DomainError, ExpstatError
+from .core import (
+    GRID_BLOCK,
+    RatesLike,
+    RateVector,
+    _check_integer,
+    _check_points,
+    _term_values,
+    as_rate_vector,
+    mixture_eval,
+    mixture_moment,
+)
+from .errors import CapacityError, DomainError, ExpstatError
 from .montecarlo import (
     factorization_test,
     ks_test,
@@ -59,7 +69,6 @@ from .montecarlo import (
 from .orderstats import (
     OrderStatisticRequest,
     max_cdf,
-    max_mixture,
     max_pdf,
     min_cdf,
     min_pdf,
@@ -100,10 +109,14 @@ class CurveRequest:
         if self.quantity not in _QUANTITIES:
             raise DomainError(f"quantity must be one of {_QUANTITIES}, got {self.quantity!r}")
         object.__setattr__(self, "rates", as_rate_vector(self.rates))
-        if not (self.z_min >= 0.0 and self.z_min < self.z_max and math.isfinite(self.z_max)):
+        z_min, z_max = _check_points(self.z_min), _check_points(self.z_max)
+        if not (isinstance(z_min, float) and isinstance(z_max, float) and z_min < z_max):
             raise DomainError(f"range must satisfy 0 <= z_min < z_max, got {self.z_min}:{self.z_max}")
-        if self.points < 2:
-            raise DomainError(f"points must be at least 2, got {self.points}")
+        points = _check_integer(self.points, "points")
+        if points < 2:
+            raise DomainError(f"points must be at least 2, got {points}")
+        for name, value in (("z_min", z_min), ("z_max", z_max), ("points", points)):
+            object.__setattr__(self, name, value)
         if self.statistic == "order":
             OrderStatisticRequest(self.rates, self.r)
 
@@ -206,9 +219,8 @@ def _check_normalization(rv: RateVector, seed: int) -> tuple[Optional[bool], str
         far = conv_quantile(rv, 0.5) * 40.0
         err = abs(conv_cdf(rv, far) - 1.0)
         return err <= 1e-9, f"|cdf(far) - 1| = {err:.3e} (phase path)"
+    # the closed form's own total mass: the cdf is clipped to [0, 1], so it would hide sum A_n > 1
     err = abs(mixture_moment(form, 0) - 1.0)
-    if rv.n <= 12:
-        err = max(err, abs(mixture_moment(max_mixture(rv), 0) - 1.0))
     return err <= 1e-10, f"max |integral - 1| = {err:.3e}"
 
 
@@ -348,7 +360,7 @@ def main(argv=None) -> int:
         if args.command == "sample":
             return cmd_sample(args.stat, rv, args.r, args.count, seed)
         return cmd_check(rv, seed)
-    except (DomainError, DegenerateRatesError, CapacityError) as exc:
+    except (DomainError, CapacityError) as exc:
         parser.error(str(exc))
     except ExpstatError as exc:  # pragma: no cover - defensive
         print(f"error: {exc}", file=sys.stderr)

@@ -59,11 +59,12 @@ from .core import (
     _check_points,
     _newton_quantile,
     as_rate_vector,
+    factorial,
     mixture_cdf,
     mixture_eval,
     mixture_quantile,
 )
-from .errors import CapacityError, DegenerateRatesError, DomainError, NumericalError
+from .errors import CapacityError, DomainError, NumericalError
 
 # ---------------------------------------------------------------------------
 # partial-fraction coefficients
@@ -89,13 +90,13 @@ def conv_coefficients(rates: RatesLike) -> ConvolutionCoefficients:
     """A_n = prod_{j != n} lambda_j / (lambda_j - lambda_n) for distinct rates, by the direct product.
 
     Any two unequal rates qualify, however close: each factor is formed from
-    the rates as given.  Raises DegenerateRatesError when a rate is repeated
+    the rates as given.  Raises DomainError when a rate is repeated
     (conv_pdf / conv_mixture build Erlang blocks for those instead), and
     NumericalError when a product overflows or is otherwise not finite.
     """
     rv = as_rate_vector(rates)
     if not rv.is_distinct:
-        raise DegenerateRatesError(
+        raise DomainError(
             "partial-fraction coefficients need pairwise-distinct rates; "
             "use conv_pdf/conv_mixture, which handle repeated rates"
         )
@@ -212,9 +213,7 @@ def expm(a: np.ndarray) -> np.ndarray:
     powers[1] = b * 2.0**-s
     for j in range(2, p + 1):
         np.matmul(powers[j - 1], powers[1], out=powers[j])
-    inverse_factorials = np.zeros(p * q)  # 1/k!, and past k = 170, where k! overflows, the 0 that 1/k! rounds to
-    inverse_factorials[0] = 1.0
-    inverse_factorials[1:171] = 1.0 / np.cumprod(np.arange(1.0, min(p * q, 171)))
+    inverse_factorials = 1.0 / factorial(np.arange(p * q))  # 1/inf = 0 past k = 170, where k! overflows
     blocks = (inverse_factorials.reshape(q, p) @ powers[:p].reshape(p, n * n)).reshape(q, n, n)
     e = blocks[q - 1]
     for i in range(q - 2, -1, -1):
@@ -419,7 +418,7 @@ def char_fn_linear_combination(rates: RatesLike, t: complex) -> complex:
     """
     rv = as_rate_vector(rates)
     if not rv.is_distinct:
-        raise DegenerateRatesError("the linear-combination transform needs pairwise-distinct rates")
+        raise DomainError("the linear-combination transform needs pairwise-distinct rates")
     coeffs = conv_coefficients(rv)
     parts = [a * f for a, f in zip(coeffs.coefficients, _transform_factors(coeffs.rates, t))]
     return complex(math.fsum(p.real for p in parts), math.fsum(p.imag for p in parts))

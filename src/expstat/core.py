@@ -129,6 +129,8 @@ def _check_points(z) -> float | np.ndarray:
         if not 0.0 <= z <= _DOUBLE_MAX:  # false for NaN, the infinities and ints past the double range
             raise DomainError(f"points must be finite and non-negative, got {_shown(z)}")
         return float(z)
+    if isinstance(z, (str, bytes)):  # numpy would read "0" as 0.0
+        raise DomainError(f"points must be real numbers, got {z!r}")
     try:
         zz = np.asarray(z, dtype=np.float64)
     except (TypeError, ValueError):  # a string or a complex number

@@ -14,10 +14,6 @@ class DomainError(ExpstatError, ValueError):
     """An argument lies outside the mathematical domain of an operation."""
 
 
-class DegenerateRatesError(ExpstatError):
-    """Rates are repeated (or cluster together) where distinct rates are required."""
-
-
 class CapacityError(ExpstatError):
     """A request exceeds a documented size limit (for example subset enumeration)."""
 

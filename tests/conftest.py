@@ -7,7 +7,8 @@ import math
 import numpy as np
 from hypothesis import strategies as st
 
-from expstat import conv_pdf, conv_quantile, max_mixture
+from expstat import conv_pdf, conv_quantile
+from expstat.orderstats import max_mixture
 
 
 def random_rate_sets(

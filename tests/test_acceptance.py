@@ -20,11 +20,9 @@ from expstat import (
     conv_cdf,
     conv_coefficients,
     conv_pdf,
-    conv_pdf_phase_type,
     factorization_test,
     ks_test,
     max_cdf,
-    max_mixture,
     min_cdf,
     mixture_cdf,
     mixture_quantile,
@@ -35,6 +33,8 @@ from expstat import (
     sample_order,
 )
 from expstat.cli import main as cli_main
+from expstat.convolution import conv_pdf_phase_type
+from expstat.orderstats import max_mixture
 
 SEED_TRIANGLE = 20260815
 SEED_IDENTITIES = 31415926

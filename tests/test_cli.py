@@ -23,10 +23,10 @@ from expstat import (
     order_statistic_cdf,
     order_statistic_pdf,
     sample_sum,
-    sum_route,
 )
 from expstat import cli
 from expstat.cli import DEFAULT_SEED, SEED_ENV_VAR, main
+from expstat.convolution import sum_route
 from expstat.core import mixture_eval_grid
 
 LN2 = math.log(2.0)
@@ -219,6 +219,31 @@ def test_curve_request_refuses_a_fractional_order():
     # r = 2.7 was truncated to 2 before the order-statistic request could refuse it
     with pytest.raises(DomainError, match="order r must be an integer"):
         cli.CurveRequest("order", (1.0, 2.0, 3.0), 2.7, 0.0, 1.0, 3, "cdf")
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("points", 2.5, "points must be an integer"),
+        ("points", "401", "points must be an integer"),
+        ("z_min", "0", "points must be real numbers"),
+        ("z_max", "10", "points must be real numbers"),
+        ("z_min", [0.0], "range must satisfy"),
+    ],
+)
+def test_curve_request_refuses_unchecked_arguments(field, value, message):
+    # points=2.5 passed validation and failed in np.linspace with numpy's TypeError, and "401"
+    # and "0" raised TypeError from <
+    args = dict(statistic="sum", rates=(1.0, 2.0), r=None, z_min=0.0, z_max=10.0, points=401, quantity="pdf")
+    args[field] = value
+    with pytest.raises(DomainError, match=message):
+        cli.CurveRequest(**args)
+
+
+def test_curve_request_holds_its_checked_values():
+    req = cli.CurveRequest("sum", (1.0, 2.0), None, np.float32(0.0), np.int64(3), np.int64(5), "pdf")
+    assert (req.z_min, req.z_max, req.points) == (0.0, 3.0, 5)
+    assert type(req.z_min) is float and type(req.z_max) is float and type(req.points) is int
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,6 @@ from expstat import montecarlo
 from expstat import (
     ContractError,
     DomainError,
-    FactorizationReport,
-    GoodnessOfFitReport,
-    SampleBatch,
     conv_cdf,
     conv_moments,
     factorization_test,
@@ -27,7 +24,14 @@ from expstat import (
     sample_sum,
 )
 from expstat.core import ExponentialLaw
-from expstat.montecarlo import _linear_quantiles, _margin_cells, make_stream
+from expstat.montecarlo import (
+    FactorizationReport,
+    GoodnessOfFitReport,
+    SampleBatch,
+    _linear_quantiles,
+    _margin_cells,
+    make_stream,
+)
 
 
 # ---------------------------------------------------------------------------

@@ -13,15 +13,12 @@ from expstat import (
     CapacityError,
     DomainError,
     OrderStatisticRequest,
-    SampleBatch,
     SignedExponentialMixture,
     conv_mixture,
     ks_test,
     max_cdf,
-    max_mixture,
     max_pdf,
     min_cdf,
-    min_law,
     mixture_cdf,
     mixture_eval,
     mixture_moment,
@@ -33,7 +30,8 @@ from expstat import (
     sample_order,
 )
 from expstat.convolution import expm
-from expstat.montecarlo import make_stream
+from expstat.montecarlo import SampleBatch, make_stream
+from expstat.orderstats import max_mixture, min_law
 
 LN2 = math.log(2.0)
 
@@ -115,10 +113,15 @@ def test_max_mixture_cdf_matches_product_form():
 
 
 def test_max_mixture_normalization_up_to_twelve():
+    # each subset contributes sign * (its sum) / (its sum) = +-1 exactly, so the integral is 1.0 to
+    # the bit, also where integer rates give equal subset sums that merge into one term
     rng = np.random.default_rng(24)
-    for n in (2, 5, 9, 12):
-        rates = tuple(np.exp(rng.uniform(np.log(0.1), np.log(10.0), size=n)))
-        assert mixture_moment(max_mixture(rates), 0) == pytest.approx(1.0, abs=1e-10)
+    for n in range(1, 13):
+        for _ in range(5):
+            rates = tuple(np.exp(rng.uniform(np.log(0.1), np.log(10.0), size=n)))
+            assert mixture_moment(max_mixture(rates), 0) == 1.0, rates
+            integers = tuple(float(x) for x in rng.integers(1, 5, size=n))
+            assert mixture_moment(max_mixture(integers), 0) == 1.0, integers
 
 
 def test_max_pdf_matches_cdf_derivative():

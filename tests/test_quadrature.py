@@ -1,13 +1,15 @@
 """The quadrature oracle: Hermite convolution with exact slopes and its incomplete gamma values (core.gammainc)."""
 
+import tracemalloc
+
 import mpmath
 import numpy as np
 import pytest
 
 from conftest import random_rate_sets
-from expstat import sum_pdf_quadrature
+from expstat import CapacityError, conv_quantile, sum_pdf_quadrature
 from expstat.core import gammainc
-from expstat.quadrature import _BLOCK_DECAY, _decaying_recurrence, _hermite, build_grid
+from expstat.quadrature import _BLOCK_DECAY, _MAX_GRID_NODES, _decaying_recurrence, _hermite, build_grid
 
 
 def _mp_sum_pdf(rates, z):
@@ -101,3 +103,35 @@ def test_blocked_recurrence_matches_the_per_node_loop(rates):
     quad, loop = sum_pdf_quadrature(rates, z), _loop_quadrature(rates, z)
     assert np.all(np.isfinite(quad))
     assert np.max(np.abs(quad - loop) / np.abs(loop)) <= 1e-12
+
+
+def test_a_grid_past_the_double_range_raises_capacity_error():
+    # (z - 45 / min rate) min rate / H_REL tail nodes is 8.3e309 at z = 1e308, and math.ceil of it raised
+    # OverflowError: cannot convert float infinity to integer
+    with pytest.raises(CapacityError, match=r"needs inf nodes, over 500000"):
+        sum_pdf_quadrature((1.0, 2.0), [1.0, 1e308])
+
+
+@pytest.mark.parametrize(
+    "rates, z, nodes",
+    [
+        ((1.0, 2.0), 1e7, "8.33e\\+08"),  # the tail: about 6.7 GB per float64 array of the grid
+        ((1e-300, 1e300), 1.0, "2.58e\\+06"),  # the geometric zone between the rates' scales
+    ],
+    ids=["tail", "geometric"],
+)
+def test_a_grid_past_the_node_bound_raises_capacity_error_before_allocating(rates, z, nodes):
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match=f"needs {nodes} nodes"):
+            sum_pdf_quadrature(rates, [1.0, z])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+
+
+def test_the_largest_check_grid_stays_far_below_the_node_bound():
+    # check's oracle_triangle evaluates the quadrature up to the 0.95 quantile; CI runs it on these 48 rates
+    rates = tuple(float(x) for x in np.geomspace(0.1, 10.0, 48))
+    assert build_grid(rates, conv_quantile(rates, 0.95)).size <= _MAX_GRID_NODES / 20

@@ -109,7 +109,7 @@ class CurveRequest:
         if self.quantity not in _QUANTITIES:
             raise DomainError(f"quantity must be one of {_QUANTITIES}, got {self.quantity!r}")
         object.__setattr__(self, "rates", as_rate_vector(self.rates))
-        z_min, z_max = _check_points(self.z_min), _check_points(self.z_max)
+        z_min, z_max = _check_points(self.z_min, "z_min"), _check_points(self.z_max, "z_max")
         if not (isinstance(z_min, float) and isinstance(z_max, float) and z_min < z_max):
             raise DomainError(f"range must satisfy 0 <= z_min < z_max, got {self.z_min}:{self.z_max}")
         points = _check_integer(self.points, "points")

@@ -115,31 +115,37 @@ def _check_integer(value, name: str) -> int:
         raise DomainError(f"{name} must be an integer, got {value!r}") from None
 
 
-def _check_points(z) -> float | np.ndarray:
-    """A scalar z as a float, anything else as a float64 array.
+def _check_points(z, name: str = "points") -> float | np.ndarray:
+    """A scalar z as a float, anything else as a float64 array; messages name the argument ``name``.
 
     Raises DomainError unless every point is a finite non-negative real
     number, so NaN, infinite, string and complex arguments and ints past the
-    double range never reach the kernels, and for an array of more than one
-    dimension, which every kernel would mishandle differently.
-    Python numbers skip numpy, whose per-call overhead would dominate the
-    per-point loops.
+    double range never reach the kernels, whether alone or inside a
+    container, and for an array of more than one dimension, which every
+    kernel would mishandle differently.  Python numbers skip numpy, whose
+    per-call overhead would dominate the per-point loops.
     """
     if isinstance(z, (int, float)):
         if not 0.0 <= z <= _DOUBLE_MAX:  # false for NaN, the infinities and ints past the double range
-            raise DomainError(f"points must be finite and non-negative, got {_shown(z)}")
+            raise DomainError(f"{name} must be finite and non-negative, got {_shown(z)}")
         return float(z)
-    if isinstance(z, (str, bytes)):  # numpy would read "0" as 0.0
-        raise DomainError(f"points must be real numbers, got {z!r}")
     try:
-        zz = np.asarray(z, dtype=np.float64)
-    except (TypeError, ValueError):  # a string or a complex number
-        raise DomainError(f"points must be real numbers, got {z!r}") from None
+        raw = np.asarray(z)
+        # numpy would read "0.5" as 0.5 and drop an imaginary part with a warning
+        if raw.dtype.kind not in "biufO" or raw.dtype.kind == "O" and any(
+            isinstance(v, (str, bytes, np.complexfloating)) for v in raw.flat
+        ):
+            raise TypeError
+        zz = raw.astype(np.float64, copy=False)
+    except (TypeError, ValueError):  # a string, a complex number, a ragged list
+        raise DomainError(f"{name} must be real numbers, got {z!r}") from None
+    except OverflowError:  # an int past the double range
+        raise DomainError(f"{name} must be finite and non-negative, got an int past the double range") from None
     if zz.ndim > 1:
-        raise DomainError(f"points must be a scalar or a 1-d array, got shape {zz.shape}")
+        raise DomainError(f"{name} must be a scalar or a 1-d array, got shape {zz.shape}")
     bad = ~(np.isfinite(zz) & (zz >= 0.0))
     if np.any(bad):
-        raise DomainError(f"points must be finite and non-negative, got {float(zz[bad].flat[0])!r}")
+        raise DomainError(f"{name} must be finite and non-negative, got {float(zz[bad].flat[0])!r}")
     return float(zz) if zz.ndim == 0 else zz
 
 
@@ -362,13 +368,19 @@ def _require_density(m: SignedExponentialMixture, op: str) -> None:
 def _term_values(c, k, lam, z) -> np.ndarray:
     """The terms c z^k exp(-lam z), broadcast over the arguments.
 
-    A term that overflows on the way (z^k = inf, and inf * 0 = NaN) is formed
-    again as c exp(k log z - lam z); every finite term keeps its bits.  The
-    first pass runs with numpy's floating-point warnings off, since the
-    second handles what they would report.
+    When every degree is 0 the power is skipped: z^0 = 1, and c * 1 = c
+    exactly, so the terms keep the bits of the general product.  A term that
+    overflows on the way (z^k = inf, and inf * 0 = NaN) is formed again as
+    c exp(k log z - lam z); every finite term keeps its bits.  The first
+    pass runs with numpy's floating-point warnings off, since the second
+    handles what they would report.
     """
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        vals = c * np.power(z, k) * np.exp(-lam * z)
+        vals = -lam * z
+        np.exp(vals, out=vals)
+        if not k.any():
+            return np.multiply(vals, c, out=vals)
+        vals = np.multiply(c * np.power(z, k), vals, out=vals)
         if not math.isfinite(vals.sum()):
             redo = ~np.isfinite(vals)
             c, k, lam, z = (np.broadcast_to(v, vals.shape)[redo] for v in (c, k, lam, z))
@@ -455,25 +467,29 @@ def mixture_cdf(m: SignedExponentialMixture, z: float | np.ndarray) -> float | n
 def mixture_cdf_grid(m: SignedExponentialMixture, z: np.ndarray) -> np.ndarray:
     """Vectorized cdf over a grid: the termwise antiderivative, clipped into [0, 1].
 
-    An Erlang term adds one gammainc call per block, on every term's row;
-    without one only -(c / rate) expm1(-rate z) is evaluated.  Points are
-    taken GRID_BLOCK at a time, as in mixture_eval_grid.  Clamps beyond
-    CDF_CLAMP_WINDOW are logged in one warning with their count and the worst.
+    An Erlang term adds the Gamma weights and one gammainc call per block, on
+    every term's row; without one only -(c / rate) expm1(-rate z) is
+    evaluated, in place.  Points are taken GRID_BLOCK at a time, as in
+    mixture_eval_grid.  Clamps beyond CDF_CLAMP_WINDOW are logged in one
+    warning with their count and the worst.
     """
     _require_density(m, "mixture_cdf")
     zz = np.atleast_1d(_check_points(z))
     c = m.coefficients[:, None]
     lam = m.rates[:, None]
-    k = m.degrees[:, None]
-    flat = m.degrees == 0
     a = -(c / lam)
-    b = _gamma_weights(m.coefficients, m.degrees, m.rates)[:, None]
+    erlang = bool(m.degrees.any())
+    if erlang:
+        k = m.degrees[:, None]
+        flat = k == 0
+        b = _gamma_weights(m.coefficients, m.degrees, m.rates)[:, None]
     vals = np.empty_like(zz)
     for block in _grid_blocks(zz.size):
-        x = lam * zz[None, block]
-        contrib = a * np.expm1(-x)
-        if not flat.all():
-            contrib = np.where(flat[:, None], contrib, b * gammainc(k + 1, x))
+        x = -lam * zz[None, block]  # -(lam z): the negation is exact
+        if erlang:
+            contrib = np.where(flat, np.expm1(x) * a, b * gammainc(k + 1, -x))
+        else:
+            contrib = np.multiply(np.expm1(x, out=x), a, out=x)
         vals[block] = np.sum(contrib, axis=0)
     if vals.size and (vals.min() < -CDF_CLAMP_WINDOW or vals.max() > 1.0 + CDF_CLAMP_WINDOW):
         excess = np.maximum(-vals, vals - 1.0)

@@ -99,9 +99,10 @@ def max_pdf(rates: RatesLike, z: float | np.ndarray) -> float | np.ndarray:
     """
     lam = np.asarray(as_rate_vector(rates).rates)[:, None]
     zz = _check_points(z)
-    x = lam * np.atleast_1d(zz)
-    p = -np.expm1(-x)
-    terms = lam * np.exp(-x)
+    x = -lam * np.atleast_1d(zz)  # -(lambda z), for both exponentials: the negation is exact
+    p = np.expm1(x)
+    np.negative(p, out=p)  # 1 - exp(-lambda z)
+    terms = np.multiply(np.exp(x, out=x), lam, out=x)
     # one row per rate, so each step multiplies whole rows of points
     below = np.ones(x.shape[1])  # prod_{m < k} p_m
     above = np.ones(x.shape[1])  # prod_{m > n - 1 - k} p_m

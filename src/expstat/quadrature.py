@@ -72,7 +72,8 @@ def build_grid(rates: RatesLike, z_max: float) -> np.ndarray:
     n_tail = (z_max - t_geo_end) / (H_REL / lmin)
     nodes = n_fine + n_geo + n_tail
     if nodes > _MAX_GRID_NODES:
-        raise CapacityError(f"the quadrature grid on [0, {z_max!r}] needs {nodes:.3g} nodes, over {_MAX_GRID_NODES}")
+        count = f"{nodes:.3g} nodes" if nodes < math.inf else "a node count past the double range"
+        raise CapacityError(f"the quadrature grid on [0, {z_max!r}] needs {count}, over {_MAX_GRID_NODES}")
     zones = [np.linspace(0.0, t_fine, n_fine + 1), t_fine * ratio ** np.arange(1, math.ceil(n_geo) + 1)]
     if n_tail > 0.0:
         zones.append(np.linspace(t_geo_end, z_max, math.ceil(n_tail) + 1))

@@ -226,14 +226,16 @@ def test_curve_request_refuses_a_fractional_order():
     [
         ("points", 2.5, "points must be an integer"),
         ("points", "401", "points must be an integer"),
-        ("z_min", "0", "points must be real numbers"),
-        ("z_max", "10", "points must be real numbers"),
+        ("z_min", "0", "z_min must be real numbers"),
+        ("z_max", "10", "z_max must be real numbers"),
         ("z_min", [0.0], "range must satisfy"),
+        ("z_min", -1, "z_min must be finite and non-negative, got -1$"),
+        ("z_max", float("nan"), "z_max must be finite and non-negative, got nan$"),
     ],
 )
 def test_curve_request_refuses_unchecked_arguments(field, value, message):
     # points=2.5 passed validation and failed in np.linspace with numpy's TypeError, and "401"
-    # and "0" raised TypeError from <
+    # and "0" raised TypeError from <; each message names its field, where z_min=-1 said "points"
     args = dict(statistic="sum", rates=(1.0, 2.0), r=None, z_min=0.0, z_max=10.0, points=401, quantity="pdf")
     args[field] = value
     with pytest.raises(DomainError, match=message):
@@ -427,14 +429,14 @@ def test_check_reports_the_route_sum_route_takes(monkeypatch, rates):
 
 
 def test_check_reports_a_typed_error_as_a_failure_and_runs_the_rest(monkeypatch):
-    # rates near 1e-200: the order-2 moment 2/rate^2 overflows, so the oracle triangle's quantiles
+    # rates near 1e-200: the variance sum 1/rate^2 overflows, so the oracle triangle's quantiles
     # raise CapacityError, which used to abort the suite after the INFO line
     code, out, err = run_cli(["check", "--rates", "1e-200,1.5e-200", "--seed", "11"], monkeypatch)
     assert code == 1 and err == "", err
     verdicts = {ln.split()[1]: ln.split()[2] for ln in out.strip().split("\n") if ln.startswith("CHECK ")}
     assert len(out.strip().split("\n")) == 8 and len(verdicts) == 7, out
     assert [name for name, verdict in verdicts.items() if verdict != "PASS"] == ["oracle_triangle"], out
-    assert "CHECK oracle_triangle FAIL CapacityError: the order-2 moment" in out
+    assert "CHECK oracle_triangle FAIL CapacityError: the mean and variance of a sum" in out
 
 
 def test_check_passes_many_log_spaced_rates_on_the_chain(monkeypatch):

@@ -730,9 +730,12 @@ PHASE_SET = (1.0, 1.0005, 2.0, 0.7, 0.7007)
 # (solver, reference cdf) for every evaluator the one quantile solver serves
 QUANTILE_EVALUATORS = {
     "gamma closed form": (lambda p: conv_quantile((2.0, 2.0, 2.0), p), lambda q: _mp_gamma_cdf(3, 2.0, q)),
-    "distinct closed form": (lambda p: conv_quantile((1.0, 2.0, 3.0), p), lambda q: _mp_sum_cdf((1.0, 2.0, 3.0), q)),
+    "distinct closed form": (
+        lambda p: mixture_quantile(conv_mixture((1.0, 2.0, 3.0)), p),
+        lambda q: _mp_sum_cdf((1.0, 2.0, 3.0), q),
+    ),
     "distinct closed form, N = 5": (
-        lambda p: conv_quantile((0.3, 0.7, 1.9, 4.4, 8.0), p),
+        lambda p: mixture_quantile(conv_mixture((0.3, 0.7, 1.9, 4.4, 8.0)), p),
         lambda q: _mp_sum_cdf((0.3, 0.7, 1.9, 4.4, 8.0), q),
     ),
     "erlang-block mixture": (
@@ -794,17 +797,50 @@ def test_chain_quantiles_stop_at_the_cdf_noise_floor(monkeypatch):
 
 def test_closed_form_upper_tail_quantiles_stop_at_the_cdf_quantum(monkeypatch):
     # above the median F rounds to multiples of eps/2 near 1, below the old floor 1e-10 (1 - p),
-    # so Newton dithered until its bracket closed: 34 and 22 cdf evaluations
+    # so Newton dithered until its bracket closed: 34 and 22 cdf evaluations on the closed form.
+    # The quantiles of this closed-form set now solve on the chain: 7 and 8 expm calls
     rates = (0.3, 0.7, 1.9, 2.5, 6.0)
     assert sum_route(rates)[0] == "closed-form"
     calls = []
-    cdf_grid = core.mixture_cdf_grid
-    monkeypatch.setattr(core, "mixture_cdf_grid", lambda m, z: calls.append(1) or cdf_grid(m, z))
+    expm = convolution.expm
+    monkeypatch.setattr(convolution, "expm", lambda a: calls.append(1) or expm(a))
     for p in (1.0 - 1e-6, 1.0 - 1e-10):
         calls.clear()
         q = conv_quantile(rates, p)
-        assert len(calls) <= 10, (p, len(calls))
+        assert 0 < len(calls) <= 10, (p, len(calls))
         assert abs(_mp_sum_cdf(rates, q) - p) <= 1e-10, (p, q)
+
+
+# sets whose pdf and cdf take the closed form; routed there too, their quantiles at p = 1e-12 were
+# off by 5.2e-4, 1.9e-5 and 2.1e-6 relative
+CLOSED_FORM_TAIL_SETS = {
+    "log-spaced N = 12": tuple(float(x) for x in np.geomspace(0.1, 10.0, 12)),
+    "r8": tuple(float(x) for x in np.geomspace(0.1, 10.0, 8)),
+    "five rates": (0.3, 0.7, 1.9, 2.5, 6.0),
+}
+
+
+@pytest.mark.parametrize("name", CLOSED_FORM_TAIL_SETS)
+def test_multi_cluster_quantiles_solve_on_the_chain_in_both_tails(name, monkeypatch):
+    rates = CLOSED_FORM_TAIL_SETS[name]
+    assert sum_route(rates)[0] == "closed-form"
+    calls = []
+    expm = convolution.expm
+    monkeypatch.setattr(convolution, "expm", lambda a: calls.append(1) or expm(a))
+    for p in (1e-12, 1e-8, 1.0 - 1e-8):
+        calls.clear()
+        q = conv_quantile(rates, p)
+        assert calls, (name, p)
+        assert abs(_mp_absorption(rates, q)[0] - p) <= 1e-12 * p, (name, p, q)
+
+
+def test_single_cluster_quantiles_keep_their_gamma_term(monkeypatch):
+    # one cluster has one exact term, and the chain's cost grows with N
+    monkeypatch.setattr(convolution, "expm", lambda a: pytest.fail("the Gamma law took the chain"))
+    for rates in ((2.0, 2.0, 2.0), (3.0,) * 100):
+        for p in (1e-12, 0.5, 1.0 - 1e-8):
+            q = conv_quantile(rates, p)
+            assert abs(_mp_gamma_cdf(len(rates), rates[0], q) - p) <= 1e-10, (rates, p, q)
 
 
 def test_chain_at_160_rates_raises_no_warning_and_keeps_its_mass():
@@ -947,7 +983,8 @@ def test_char_fn_linear_combination_matches_product():
 
 
 def test_char_fn_linear_combination_rejects_clustered():
-    with pytest.raises(DomainError, match="the linear-combination transform needs pairwise-distinct rates"):
+    # the one distinct-rate rule, conv_coefficients', with its message
+    with pytest.raises(DomainError, match="partial-fraction coefficients need pairwise-distinct rates"):
         char_fn_linear_combination((1.0, 1.0), 1.0)
 
 

@@ -400,6 +400,38 @@ def test_points_gate_refuses_huge_ints_strings_and_complex_numbers(name, bad):
         _POINTWISE[name](bad)
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [["0.5"], ("0.5", 1.0), [0.5, "1"], [b"1"], np.array(["0.5"]), np.array(["1"], dtype=object), [np.str_("1")],
+     [10**400], [np.complex128(1j), None]],
+    ids=["list", "tuple", "mixed", "bytes", "str-array", "object-array", "numpy-str", "huge-int", "complex"],
+)
+def test_points_gate_refuses_strings_and_huge_ints_inside_a_container(bad):
+    # numpy parsed the strings, so conv_pdf((1, 2), ["0.5"]) returned the density at 0.5 while a
+    # scalar "0.5" raised, and [10**400] raised numpy's OverflowError
+    kernels = [
+        lambda z: conv_pdf((1.0, 2.0), z),
+        lambda z: conv_cdf((1.0, 1.0, 2.0), z),
+        lambda z: mixture_eval(_MIX, z),
+        lambda z: mixture_cdf_grid(_MIX, z),
+        lambda z: max_pdf((1.0, 2.0), z),
+        lambda z: max_cdf((1.0, 2.0), z),
+        lambda z: min_cdf((1.0, 2.0), z),
+        lambda z: range_pdf((1.0, 2.0), z),
+        lambda z: sum_pdf_quadrature((1.0, 2.0), z),
+    ]
+    for kernel in kernels:
+        with pytest.raises(DomainError, match="points must be"):
+            kernel(bad)
+
+
+def test_points_gate_keeps_numbers_inside_a_container():
+    from fractions import Fraction
+
+    for good in ([0.5], (0.5,), [Fraction(1, 2)], [np.float32(0.5)], np.array([0.5], dtype=object), [True]):
+        assert conv_pdf((1.0, 2.0), good).tolist() == conv_pdf((1.0, 2.0), [float(good[0])]).tolist(), good
+
+
 @pytest.mark.parametrize("rates", [("abc",), (None, 1.0), (1j,), (10**400, 1.0), 3.0])
 def test_rates_gate_refuses_what_is_not_a_sequence_of_positive_reals(rates):
     # "abc" raised ValueError, None and 1j TypeError, 10**400 OverflowError, and a bare 3.0
@@ -506,7 +538,8 @@ def test_mixture_moments_outside_the_double_range_raise_capacity_error():
     tiny = conv_mixture((1e-300, 2e-300))
     with pytest.raises(CapacityError, match="order-2 moment"):
         mixture_quantile(tiny, 0.5)
-    with pytest.raises(CapacityError, match="order-2 moment"):
+    # two clusters solve on the chain, from the sum's own moments
+    with pytest.raises(CapacityError, match="the mean and variance of a sum"):
         conv_quantile((1e-300, 2e-300), 0.5)
 
 
@@ -758,3 +791,73 @@ def test_near_equal_rates_closed_form_tracks_repeated_rate_limit():
         assert mixture_eval(tight, z) == pytest.approx(
             mixture_eval(loose, z), abs=1e-4
         )
+
+
+# ---------------------------------------------------------------------------
+# the grid kernels against the formulas they were trimmed from, bit for bit
+
+
+def _eval_grid_reference(m, zz):
+    """mixture_eval_grid with every term through np.power, as before the degree-0 shortcut."""
+    c, lam, k = m.coefficients[:, None], m.rates[:, None], m.degrees[:, None]
+    vals = np.empty_like(zz)
+    for block in core._grid_blocks(zz.size):
+        z = zz[None, block]
+        vals[block] = np.sum(c * np.power(z, k) * np.exp(-lam * z), axis=0)
+    return np.maximum(vals, 0.0, out=vals)
+
+
+def _cdf_grid_reference(m, zz):
+    """mixture_cdf_grid with the Gamma weights always formed and expm1 of the negated product lam z."""
+    c, lam, k = m.coefficients[:, None], m.rates[:, None], m.degrees[:, None]
+    flat = m.degrees == 0
+    a = -(c / lam)
+    b = core._gamma_weights(m.coefficients, m.degrees, m.rates)[:, None]
+    vals = np.empty_like(zz)
+    for block in core._grid_blocks(zz.size):
+        x = lam * zz[None, block]
+        contrib = a * np.expm1(-x)
+        if not flat.all():
+            contrib = np.where(flat[:, None], contrib, b * core.gammainc(k + 1, x))
+        vals[block] = np.sum(contrib, axis=0)
+    return np.clip(vals, 0.0, 1.0, out=vals)
+
+
+def _max_pdf_reference(rates, zz):
+    """max_pdf with lam z negated once for expm1 and once for exp, out of place."""
+    lam = np.asarray(rates)[:, None]
+    x = lam * zz
+    p = -np.expm1(-x)
+    terms = lam * np.exp(-x)
+    below, above, n = np.ones(zz.size), np.ones(zz.size), lam.shape[0]
+    for k in range(1, n):
+        below *= p[k - 1]
+        terms[k] *= below
+        above *= p[n - k]
+        terms[n - 1 - k] *= above
+    return terms.sum(axis=0)
+
+
+TRIMMED_KERNEL_SETS = {
+    "distinct": (0.3, 0.7, 1.9, 2.5, 6.0),
+    "erlang-block": (1.0, 1.0, 2.0, 3.0, 3.0),
+    "gamma": (2.0, 2.0, 2.0),
+    "log-spaced N = 12": tuple(float(x) for x in np.geomspace(0.1, 10.0, 12)),
+}
+
+
+@pytest.mark.parametrize("points", [1, 11, 4001, 20_000])
+@pytest.mark.parametrize("name", TRIMMED_KERNEL_SETS)
+def test_trimmed_grid_kernels_keep_the_bits_of_their_formulas(name, points):
+    # 20,000 points take two blocks of GRID_BLOCK and more; the bytes also compare the sign of a zero
+    assert 2 * core.GRID_BLOCK < 20_000
+    rates = TRIMMED_KERNEL_SETS[name]
+    mean = math.fsum(1.0 / r for r in rates)
+    zz = np.linspace(0.0, 6.0 * mean, points) if points > 1 else np.array([0.7 * mean])
+    mixture = conv_mixture(rates)
+    for got, expected in (
+        (mixture_eval_grid(mixture, zz), _eval_grid_reference(mixture, zz)),
+        (mixture_cdf_grid(mixture, zz), _cdf_grid_reference(mixture, zz)),
+        (max_pdf(rates, zz), _max_pdf_reference(rates, zz)),
+    ):
+        assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes(), name

@@ -107,8 +107,8 @@ def test_blocked_recurrence_matches_the_per_node_loop(rates):
 
 def test_a_grid_past_the_double_range_raises_capacity_error():
     # (z - 45 / min rate) min rate / H_REL tail nodes is 8.3e309 at z = 1e308, and math.ceil of it raised
-    # OverflowError: cannot convert float infinity to integer
-    with pytest.raises(CapacityError, match=r"needs inf nodes, over 500000"):
+    # OverflowError: cannot convert float infinity to integer; the count itself is inf
+    with pytest.raises(CapacityError, match=r"needs a node count past the double range, over 500000$"):
         sum_pdf_quadrature((1.0, 2.0), [1.0, 1e308])
 
 

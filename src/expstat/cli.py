@@ -48,7 +48,7 @@ from .core import (
     GRID_BLOCK,
     RatesLike,
     RateVector,
-    _check_integer,
+    _check_count,
     _check_points,
     _term_values,
     as_rate_vector,
@@ -112,9 +112,7 @@ class CurveRequest:
         z_min, z_max = _check_points(self.z_min, "z_min"), _check_points(self.z_max, "z_max")
         if not (isinstance(z_min, float) and isinstance(z_max, float) and z_min < z_max):
             raise DomainError(f"range must satisfy 0 <= z_min < z_max, got {self.z_min}:{self.z_max}")
-        points = _check_integer(self.points, "points")
-        if points < 2:
-            raise DomainError(f"points must be at least 2, got {points}")
+        points = _check_count(self.points, "points", 2)
         for name, value in (("z_min", z_min), ("z_max", z_max), ("points", points)):
             object.__setattr__(self, name, value)
         if self.statistic == "order":

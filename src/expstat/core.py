@@ -45,6 +45,11 @@ QUANTILE_BRACKET_SIGMAS = 40.0
 # doubles however many points are asked for.
 GRID_BLOCK = 8192
 
+# A curve or a sample returns at most this many values, 80 MB as float64:
+# `curve --points` and the samplers' count raise CapacityError past it before
+# allocating.  The largest shipped requests are 4001 points and 1e6 draws.
+MAX_VALUES = 10_000_000
+
 # k! correctly rounded for k = 0..170, and inf for every larger k (171! overflows).
 _FACTORIALS = np.array([float(math.factorial(k)) for k in range(171)] + [math.inf])
 _HALF_EPS = 0.5 * math.ulp(1.0)
@@ -64,24 +69,27 @@ def factorial(k: np.ndarray) -> np.ndarray:
 def gammainc(a, x):
     """Regularized lower incomplete gamma P(a, x) at integer shapes a >= 1, broadcast over (a, x).
 
-    From L = x^a e^{-x} / a! = exp(a log x - log a! - x), which never overflows, P is
-    L sum_i x^i / ((a+1)...(a+i)) below x = a and 1 - L (a/x) sum_i (a-1)...(a-i) / x^i from
-    x = a on, a complement of at most about 1/2.  Each sum, at least 1, stops at a term below
-    eps/2.  0 at x = 0, NaN at x < 0.
+    P(1, x) = -expm1(-x).  From a = 2 on, from L = x^a e^{-x} / a! = exp(a log x - log a! - x),
+    which never overflows, P is L sum_i x^i / ((a+1)...(a+i)) below x = a and
+    1 - L (a/x) sum_i (a-1)...(a-i) / x^i from x = a on, a complement of at most about 1/2.
+    Each sum, at least 1, stops at a term below eps/2.  0 at x = 0, NaN at x < 0.
     """
     a, x = np.asarray(a, dtype=np.int64), np.asarray(x, dtype=np.float64)
     log_fact = np.array([math.log(math.factorial(k)) for k in a.ravel().tolist()]).reshape(a.shape)
     a, log_fact, x = np.broadcast_arrays(a.astype(np.float64), log_fact, x)
     out = np.where(x == np.inf, 1.0, np.nan)
+    exponential = (a == 1.0) & (0.0 <= x)
+    out[exponential] = -np.expm1(-x[exponential])
+    series = ~exponential
     with np.errstate(divide="ignore", invalid="ignore"):
-        lead = np.exp(a * np.log(x) - log_fact - x)
-        for below, part in ((True, (0.0 <= x) & (x < a)), (False, (a <= x) & (x < np.inf))):
+        for below, part in ((True, series & (0.0 <= x) & (x < a)), (False, series & (a <= x) & (x < np.inf))):
             xs, s, term, total, i = x[part], a[part], 1.0, 1.0, 0
+            lead = np.exp(s * np.log(xs) - log_fact[part] - xs)
             while np.any(term > _HALF_EPS):
                 i += 1
                 term = term * (xs / (s + i) if below else (s - i) / xs)
                 total = total + term
-            out[part] = lead[part] * total if below else 1.0 - lead[part] * s / xs * total
+            out[part] = lead * total if below else 1.0 - lead * s / xs * total
     return out
 
 
@@ -113,6 +121,16 @@ def _check_integer(value, name: str) -> int:
         return operator.index(value)
     except TypeError:
         raise DomainError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _check_count(value, name: str, least: int) -> int:
+    """``value`` as an int: DomainError below ``least``, CapacityError past MAX_VALUES."""
+    count = _check_integer(value, name)
+    if count < least:
+        raise DomainError(f"{name} must be at least {least}, got {count}")
+    if count > MAX_VALUES:
+        raise CapacityError(f"{name} {count} is over {MAX_VALUES}, the most values one request returns")
+    return count
 
 
 def _check_points(z, name: str = "points") -> float | np.ndarray:

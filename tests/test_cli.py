@@ -27,7 +27,7 @@ from expstat import (
 from expstat import cli
 from expstat.cli import DEFAULT_SEED, SEED_ENV_VAR, main
 from expstat.convolution import sum_route
-from expstat.core import mixture_eval_grid
+from expstat.core import MAX_VALUES, mixture_eval_grid
 
 LN2 = math.log(2.0)
 
@@ -123,6 +123,29 @@ def test_curve_max_pdf_memory_stays_linear_in_rates(monkeypatch):
     assert len(rows) == 401
     assert rows[0][1] == 0.0
     assert [v for _, v in rows] == list(max_pdf(rates, np.linspace(0.0, 10.0, 401)))
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["curve", "--stat", "sum", "--rates", "1,2", "--points", str(MAX_VALUES + 1)], f"points {MAX_VALUES + 1} is over"),
+        (["curve", "--stat", "max", "--rates", "1,2", "--points", "1000000000"], "points 1000000000 is over"),
+        (["sample", "--stat", "sum", "--rates", "1,2", "--count", str(MAX_VALUES + 1)], f"count {MAX_VALUES + 1} is over"),
+    ],
+)
+def test_a_request_past_max_values_exits_2_before_allocating(monkeypatch, argv, message):
+    # np.linspace of 1e9 points, or 1e9 draws, would be an 8 GB array; CI's largest curve has
+    # 4001 points, and the benchmark's largest sample 2e5 draws
+    assert 1000 * 4001 <= MAX_VALUES and 50 * 200_000 <= MAX_VALUES
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(argv, monkeypatch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and out == ""
+    assert message in err
+    assert peak < 1_000_000
 
 
 def test_curve_min_cdf_is_pooled_exponential(monkeypatch):

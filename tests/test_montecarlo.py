@@ -8,6 +8,7 @@ import pytest
 
 from expstat import montecarlo
 from expstat import (
+    CapacityError,
     ContractError,
     DomainError,
     conv_cdf,
@@ -23,7 +24,7 @@ from expstat import (
     sample_order,
     sample_sum,
 )
-from expstat.core import ExponentialLaw
+from expstat.core import MAX_VALUES, ExponentialLaw
 from expstat.montecarlo import (
     FactorizationReport,
     GoodnessOfFitReport,
@@ -160,13 +161,30 @@ def test_column_reductions_give_the_bits_of_the_row_reductions():
     x = -np.log1p(-u) / np.array([1.0, 2.0])[None, :]
     expected = np.column_stack((x.min(axis=1), x.max(axis=1) - x.min(axis=1)))
     assert sample_min_range_pairs(1.0, 2.0, 20_000, seed=108).tobytes() == expected.tobytes()
+    # sample_sum adds whole columns in numpy's order: one after another below 8 columns, eight
+    # partial sums and a tree from 8 to 128, numpy's own row sum past its 128-value block
+    for n in (2, 7, 9, 16, 17, 40, 130):
+        rates = tuple(float(r) for r in np.geomspace(0.1, 10.0, n))
+        u = make_stream(117, n).random((10_000, n))
+        x = -np.log1p(-u) / np.asarray(rates)[None, :]
+        assert sample_sum(rates, 10_000, seed=117, stream_id=n).values.tobytes() == x.sum(axis=1).tobytes(), n
+        assert sample_min(rates, 10_000, seed=117, stream_id=n).values.tobytes() == x.min(axis=1).tobytes(), n
+        assert sample_max(rates, 10_000, seed=117, stream_id=n).values.tobytes() == x.max(axis=1).tobytes(), n
 
 
 @pytest.mark.parametrize("block", [1, 7, 64, montecarlo.SAMPLE_BLOCK])
 def test_blocked_draws_give_the_bits_of_one_draw_matrix(monkeypatch, block):
     # counts below, at and across block boundaries, against one (count, N) draw
     monkeypatch.setattr(montecarlo, "SAMPLE_BLOCK", block)
-    for rates, count in (((0.3, 0.7, 1.9, 2.5, 8.0), 3 * block + 2), ((1.1,), block), ((2.0, 2.0, 5.0), 1), ((0.4, 2.5), 2 * block - 1)):
+    # 2 block + 127 rows leave a last block that is no whole number of the divisor's 128-row tiles
+    cases = (
+        ((0.3, 0.7, 1.9, 2.5, 8.0), 3 * block + 2),
+        ((1.1,), block),
+        ((2.0, 2.0, 5.0), 1),
+        ((0.4, 2.5), 2 * block - 1),
+        ((0.6, 1.3, 2.2, 3.1, 4.7, 5.5, 6.0, 9.1, 11.0), 2 * block + 127),
+    )
+    for rates, count in cases:
         u = make_stream(110, 1).random((count, len(rates)))
         x = -np.log1p(-u) / np.asarray(rates)[None, :]
         assert sample_sum(rates, count, seed=110, stream_id=1).values.tobytes() == x.sum(axis=1).tobytes()
@@ -201,6 +219,31 @@ def test_sampler_memory_is_one_block_plus_the_result():
     finally:
         tracemalloc.stop()
     assert peak < 3_200_000 + 3 * montecarlo.SAMPLE_BLOCK * 2 * 8
+
+
+def test_a_count_past_max_values_raises_capacity_error_before_allocating():
+    # 1e9 draws would be an 8 GB result; the largest shipped requests, check's 2e5 pairs and the
+    # tests' 1e6 draws, stay 10x and more below the bound
+    assert 10 * 1_000_000 <= MAX_VALUES
+    count = MAX_VALUES + 1
+    samplers = (
+        lambda: sample_sum((1.0, 2.0), count, 1),
+        lambda: sample_min((1.0, 2.0), count, 1),
+        lambda: sample_max((1.0, 2.0), count, 1),
+        lambda: sample_order((1.0, 2.0, 3.0), 2, count, 1),
+        lambda: sample_min_range_pairs(1.0, 2.0, count, 1),
+        lambda: sample_sum((1.0,), 10**9, 1),
+    )
+    for sample in samplers:
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError, match=f"count {count}|count 1000000000"):
+                sample()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+    assert sample_sum((1.0, 2.0), 1, 1).count == 1
 
 
 def test_factorization_cell_counts_match_a_per_pair_count():
@@ -296,6 +339,81 @@ def test_ks_rejects_a_non_finite_reference_cdf(bad):
         ks_test(batch, cdf)
     with pytest.raises(ContractError, match="NaN or leaves"):
         ks_test(batch, lambda z: bad)
+
+
+def _ks_test_pass_per_check(batch, cdf):
+    """ks_test with one pass per check and per statistic, before its passes were folded."""
+    if not np.all(np.isfinite(batch.values)):
+        raise DomainError("KS test requires finite sample values")
+    x = np.sort(batch.values)
+    n = x.size
+    if n == 0:
+        raise DomainError("KS test requires a non-empty batch")
+    try:
+        f = np.asarray(cdf(x), dtype=np.float64)
+        if f.shape != x.shape:
+            raise TypeError
+    except (TypeError, ValueError):
+        f = np.array([float(cdf(v)) for v in x])
+    if not np.all((f >= -1e-12) & (f <= 1.0 + 1e-12)):
+        raise ContractError("reference cdf is NaN or leaves [0, 1] on the sample")
+    if np.any(np.diff(f) < -1e-12):
+        raise ContractError("reference cdf is not monotone on the sample")
+    i = np.arange(1, n + 1, dtype=np.float64)
+    d_plus = float(np.max(i / n - f))
+    d_minus = float(np.max(f - (i - 1.0) / n))
+    ks = max(d_plus, d_minus, 0.0)
+    critical = montecarlo.KS_CONSTANT_ALPHA_01 / math.sqrt(n)
+    return GoodnessOfFitReport(ks, n, critical, ks < critical)
+
+
+def _ks_outcome(ks, batch, cdf):
+    try:
+        report = ks(batch, cdf)
+    except (DomainError, ContractError) as exc:
+        return type(exc), str(exc)
+    return report.ks_statistic.hex(), report.n, report.critical_value.hex(), report.passed
+
+
+@pytest.mark.parametrize("seed", [121, 122, 123, 124, 125])
+def test_ks_reports_and_errors_are_those_of_one_pass_per_check(seed):
+    rates = (0.4, 1.1, 2.5)
+    batch = sample_sum(rates, 20_000, seed=seed)
+    shifted = SampleBatch(batch.values * 1.02, seed=seed, stream_id=0, count=20_000)
+    ones = SampleBatch(np.ones(3), seed=seed, stream_id=0, count=3)
+
+    def poisoned(bad, at):
+        values = batch.values.copy()
+        values[at] = bad
+        return SampleBatch(values, seed=seed, stream_id=0, count=values.size)
+
+    def spoiled(bad, at):
+        def cdf(z):
+            values = conv_cdf(rates, z)
+            values[at] = bad
+            return values
+
+        return cdf
+
+    cases = [
+        (batch, lambda z: conv_cdf(rates, z)),  # vectorized, passes
+        (shifted, lambda z: conv_cdf(rates, z)),  # a wrong scale
+        (SampleBatch(batch.values[:500], seed=seed, stream_id=0, count=500), lambda z: conv_cdf(rates, float(z))),  # scalar
+        (ones, lambda z: min_cdf((1.0,), z)),  # tied values
+        (SampleBatch(batch.values[:1], seed=seed, stream_id=0, count=1), lambda z: -np.expm1(-z)),
+        (SampleBatch(np.empty(0), seed=seed, stream_id=0, count=0), lambda z: -np.expm1(-z)),
+    ]
+    for bad in (math.nan, math.inf, -math.inf):
+        cases += [(poisoned(bad, seed % 97), lambda z: conv_cdf(rates, z)), (batch, spoiled(bad, seed % 89))]
+    cases += [
+        (batch, spoiled(-2e-12, 0)),  # below the range window
+        (batch, spoiled(-5e-13, 0)),  # inside it
+        (batch, spoiled(1.0 + 2e-12, -1)),  # above it
+        (batch, spoiled(0.5, -1)),  # a fall from near 1 to 1/2
+        (batch, lambda z: 0.5 + 0.4 * np.sin(3.0 * z)),
+    ]
+    for case, cdf in cases:
+        assert _ks_outcome(ks_test, case, cdf) == _ks_outcome(_ks_test_pass_per_check, case, cdf)
 
 
 def test_report_flags_must_be_consistent():

@@ -57,12 +57,12 @@ from .core import (
     RatesLike,
     RateVector,
     SignedExponentialMixture,
+    _cdf_grid,
     _check_points,
+    _eval_grid,
     _newton_quantile,
     as_rate_vector,
     factorial,
-    mixture_cdf,
-    mixture_eval,
     mixture_quantile,
 )
 from .errors import CapacityError, DomainError, NumericalError
@@ -175,11 +175,9 @@ def conv_mixture(rates: RatesLike) -> SignedExponentialMixture:
 
 
 def _distinct_mixture(coeffs: ConvolutionCoefficients) -> SignedExponentialMixture:
-    """The degree-0 density terms A_n lambda_n exp(-lambda_n z) of distinct-rate coefficients."""
-    rates = np.array(coeffs.rates)
-    return SignedExponentialMixture(
-        np.array(coeffs.coefficients) * rates, rates, np.zeros(rates.size, dtype=np.int64), is_density=True
-    )
+    """The degree-0 density terms A_n lambda_n exp(-lambda_n z) of distinct-rate coefficients, sorted by rate (canonical)."""
+    rates, a = (np.array(v) for v in zip(*sorted(zip(coeffs.rates, coeffs.coefficients))))
+    return SignedExponentialMixture(a * rates, rates, np.zeros(rates.size, dtype=np.int64), is_density=True)
 
 
 # ---------------------------------------------------------------------------
@@ -258,9 +256,11 @@ def _absorption(q: np.ndarray, zz: float | np.ndarray) -> tuple[float | np.ndarr
     state from each point to the next by the semigroup step
     state . expm(Q gap), so a grid costs one matrix exponential per distinct
     gap (about 10-20 for a linspace grid) rather than one per point.  Only a
-    gap that recurs keeps its step matrix: memory is O(N^2 + points x N)
-    plus at most one (N+1) x (N+1) matrix per distinct recurring gap.  A
-    non-finite state raises NumericalError.
+    gap that recurs keeps its step matrix: memory is O(points x N) plus at
+    most one (N+1) x (N+1) matrix per distinct recurring gap, plus expm's
+    workspace while a step is formed, its p + 1 powers and q Horner blocks
+    (p, q about sqrt(N + 17)), about (2 sqrt(N + 17) + 4)(N + 1)^2 doubles.
+    A non-finite state raises NumericalError.
     """
     n = q.shape[0] - 1
     if isinstance(zz, float):
@@ -331,21 +331,21 @@ def sum_route(rates: RatesLike) -> tuple[str, Union[SignedExponentialMixture, np
 
 
 def conv_pdf(rates: RatesLike, z: float | np.ndarray) -> float | np.ndarray:
-    """Density of the sum at z >= 0 (a scalar or an array), on the sum_route route."""
+    """Density of the sum at z >= 0 (a scalar or an array), on the sum_route route; points checked once, before the rates."""
     zz = _check_points(z)
     route, form = sum_route(rates)
     if route == "phase-type":
         return _absorption(form, zz)[1]
-    return mixture_eval(form, zz)
+    return float(_eval_grid(form, np.atleast_1d(zz))[0]) if isinstance(zz, float) else _eval_grid(form, zz)
 
 
 def conv_cdf(rates: RatesLike, z: float | np.ndarray) -> float | np.ndarray:
-    """Distribution function of the sum, scalar or array z, same routes as conv_pdf."""
+    """Distribution function of the sum, scalar or array z, same routes and checks as conv_pdf."""
     zz = _check_points(z)
     route, form = sum_route(rates)
     if route == "phase-type":
         return _absorption(form, zz)[0]
-    return mixture_cdf(form, zz)
+    return float(_cdf_grid(form, np.atleast_1d(zz))[0]) if isinstance(zz, float) else _cdf_grid(form, zz)
 
 
 def conv_quantile(rates: RatesLike, p: float) -> float:

@@ -161,8 +161,8 @@ def _check_points(z, name: str = "points") -> float | np.ndarray:
         raise DomainError(f"{name} must be finite and non-negative, got an int past the double range") from None
     if zz.ndim > 1:
         raise DomainError(f"{name} must be a scalar or a 1-d array, got shape {zz.shape}")
-    bad = ~(np.isfinite(zz) & (zz >= 0.0))
-    if np.any(bad):
+    if zz.size and not 0.0 <= zz.min() <= zz.max() <= _DOUBLE_MAX:  # false for a NaN point: min and max propagate it
+        bad = ~(np.isfinite(zz) & (zz >= 0.0))
         raise DomainError(f"{name} must be finite and non-negative, got {float(zz[bad].flat[0])!r}")
     return float(zz) if zz.ndim == 0 else zz
 
@@ -230,8 +230,8 @@ class RateVector:
 
     @property
     def is_distinct(self) -> bool:
-        """True when every cluster is a singleton."""
-        return all(len(g) == 1 for g in self.clusters)
+        """True when every cluster is a singleton, that is when there are N clusters."""
+        return len(self.clusters) == len(self.rates)
 
     @property
     def cluster_rates(self) -> tuple[float, ...]:
@@ -277,21 +277,20 @@ class MixtureTerm(NamedTuple):
     degree: int
 
 
-def _canonicalize(
-    coefficients: np.ndarray, rates: np.ndarray, degrees: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sort by (rate, degree), merge terms whose rate and degree are exactly equal.
+def _canonicalize(c: np.ndarray, r: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sort by (rate, degree), merge terms whose rate and degree are exactly equal; new arrays.
 
-    Unequal rates stay apart however close they are, so the mixture is the
-    law its terms describe: a relative tolerance would fold the two terms of
-    about +-1e13 in conv_mixture((1, 1 + 1e-13, 2)) into one.  Exact-zero coefficients are dropped.  Ties are broken by coefficient, so
-    the summation order inside a group, and with it the rounding of the
-    merged coefficient, does not depend on the order the terms were given in.
+    Unequal rates stay apart however close they are, so the mixture is the law its terms describe: a
+    relative tolerance would fold the two terms of about +-1e13 in conv_mixture((1, 1 + 1e-13, 2)) into
+    one.  Exact-zero coefficients are dropped.  Ties are broken by coefficient, so the summation order
+    inside a group, and with it the rounding of the merged coefficient, does not depend on the order the
+    terms were given in.  Terms already canonical (strictly increasing (rate, degree), no zero
+    coefficient), which sorting and merging return unchanged, are copied after one comparison pass.
     """
-    if coefficients.size == 0:
-        return coefficients, rates, degrees
-    order = np.lexsort((coefficients, degrees, rates))
-    c, r, d = coefficients[order], rates[order], degrees[order]
+    if c.all() and ((r[:-1] < r[1:]) | (r[:-1] == r[1:]) & (d[:-1] < d[1:])).all():
+        return c.copy(), r.copy(), d.copy()
+    order = np.lexsort((c, d, r))
+    c, r, d = c[order], r[order], d[order]
     new_group = (r[1:] != r[:-1]) | (d[1:] != d[:-1])
     starts = np.concatenate(([0], np.nonzero(new_group)[0] + 1))
     c, r, d = np.add.reduceat(c, starts), r[starts], d[starts]
@@ -320,11 +319,11 @@ class SignedExponentialMixture:
         d = np.ascontiguousarray(self.degrees, dtype=np.int64)
         if not (c.shape == r.shape == d.shape) or c.ndim != 1:
             raise DomainError("coefficients, rates and degrees must be 1-d and equal length")
-        if not np.all(np.isfinite(c)):
+        if not np.isfinite(c).all():
             raise DomainError("mixture coefficients must be finite")
-        if r.size and (not np.all(np.isfinite(r)) or np.any(r <= 0.0)):
+        if r.size and not 0.0 < r.min() <= r.max() < math.inf:  # false for a NaN rate: min and max propagate it
             raise DomainError("mixture rates must be finite and positive")
-        if np.any(d < 0):
+        if d.size and d.min() < 0:
             raise DomainError("mixture degrees must be non-negative")
         c, r, d = _canonicalize(c, r, d)
         for arr in (c, r, d):
@@ -460,16 +459,15 @@ def mixture_eval_grid(m: SignedExponentialMixture, z: np.ndarray) -> np.ndarray:
     block bit for bit.  A density mixture is clamped at zero: a negative
     value there is rounding in the coefficients.
     """
-    zz = np.atleast_1d(_check_points(z))
-    if m.n_terms == 0:
-        return np.zeros_like(zz)
-    c = m.coefficients[:, None]
-    lam = m.rates[:, None]
-    k = m.degrees[:, None]
+    return _eval_grid(m, np.atleast_1d(_check_points(z)))
+
+
+def _eval_grid(m: SignedExponentialMixture, zz: np.ndarray) -> np.ndarray:
+    """mixture_eval_grid on points already checked, as a 1-d array: conv_pdf checks its points once."""
+    c, lam, k = m.coefficients[:, None], m.rates[:, None], m.degrees[:, None]
     vals = np.empty_like(zz)
     for block in _grid_blocks(zz.size):
-        zb = zz[None, block]
-        vals[block] = np.sum(_term_values(c, k, lam, zb), axis=0)
+        np.add.reduce(_term_values(c, k, lam, zz[None, block]), axis=0, out=vals[block])
     return np.maximum(vals, 0.0, out=vals) if m.is_density else vals
 
 
@@ -492,9 +490,12 @@ def mixture_cdf_grid(m: SignedExponentialMixture, z: np.ndarray) -> np.ndarray:
     warning with their count and the worst.
     """
     _require_density(m, "mixture_cdf")
-    zz = np.atleast_1d(_check_points(z))
-    c = m.coefficients[:, None]
-    lam = m.rates[:, None]
+    return _cdf_grid(m, np.atleast_1d(_check_points(z)))
+
+
+def _cdf_grid(m: SignedExponentialMixture, zz: np.ndarray) -> np.ndarray:
+    """mixture_cdf_grid of a density mixture on points already checked, as a 1-d array (conv_cdf's entry)."""
+    c, lam = m.coefficients[:, None], m.rates[:, None]
     a = -(c / lam)
     erlang = bool(m.degrees.any())
     if erlang:
@@ -508,7 +509,7 @@ def mixture_cdf_grid(m: SignedExponentialMixture, z: np.ndarray) -> np.ndarray:
             contrib = np.where(flat, np.expm1(x) * a, b * gammainc(k + 1, -x))
         else:
             contrib = np.multiply(np.expm1(x, out=x), a, out=x)
-        vals[block] = np.sum(contrib, axis=0)
+        np.add.reduce(contrib, axis=0, out=vals[block])
     if vals.size and (vals.min() < -CDF_CLAMP_WINDOW or vals.max() > 1.0 + CDF_CLAMP_WINDOW):
         excess = np.maximum(-vals, vals - 1.0)
         logger.warning(

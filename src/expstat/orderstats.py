@@ -30,6 +30,7 @@ from .core import (
     SignedExponentialMixture,
     _check_integer,
     _check_points,
+    _grid_blocks,
     as_rate_vector,
 )
 from .errors import CapacityError, DomainError
@@ -95,24 +96,30 @@ def max_pdf(rates: RatesLike, z: float | np.ndarray) -> float | np.ndarray:
     sum_n lambda_n exp(-lambda_n z) prod_{m != n} (1 - exp(-lambda_m z)), with
     the products over the other rates taken from prefix and suffix products,
     so nothing is divided by 1 - exp(-lambda z) and z = 0 gives exactly 0 for
-    N >= 2.  Memory is O(N x points).
+    N >= 2.  Points are taken core.GRID_BLOCK at a time (core._grid_blocks):
+    each row operation is elementwise and each column sums its rows in order,
+    so the values are those of one block bit for bit, and memory is
+    O(N x GRID_BLOCK + points).
     """
     lam = np.asarray(as_rate_vector(rates).rates)[:, None]
     zz = _check_points(z)
-    x = -lam * np.atleast_1d(zz)  # -(lambda z), for both exponentials: the negation is exact
-    p = np.expm1(x)
-    np.negative(p, out=p)  # 1 - exp(-lambda z)
-    terms = np.multiply(np.exp(x, out=x), lam, out=x)
-    # one row per rate, so each step multiplies whole rows of points
-    below = np.ones(x.shape[1])  # prod_{m < k} p_m
-    above = np.ones(x.shape[1])  # prod_{m > n - 1 - k} p_m
+    points = np.atleast_1d(zz)
+    values = np.empty_like(points)
     n = lam.shape[0]
-    for k in range(1, n):
-        below *= p[k - 1]
-        terms[k] *= below
-        above *= p[n - k]
-        terms[n - 1 - k] *= above
-    values = terms.sum(axis=0)
+    for block in _grid_blocks(points.size):
+        x = -lam * points[None, block]  # -(lambda z), for both exponentials: the negation is exact
+        p = np.expm1(x)
+        np.negative(p, out=p)  # 1 - exp(-lambda z)
+        terms = np.multiply(np.exp(x, out=x), lam, out=x)
+        # one row per rate, so each step multiplies whole rows of points
+        below = np.ones(x.shape[1])  # prod_{m < k} p_m
+        above = np.ones(x.shape[1])  # prod_{m > n - 1 - k} p_m
+        for k in range(1, n):
+            below *= p[k - 1]
+            terms[k] *= below
+            above *= p[n - k]
+            terms[n - 1 - k] *= above
+        np.add.reduce(terms, axis=0, out=values[block])
     return float(values[0]) if isinstance(zz, float) else values
 
 
@@ -154,8 +161,8 @@ def range_pdf(rates: RatesLike, z: float | np.ndarray) -> float | np.ndarray:
     """Density of max - min for N >= 2 rates, sum_n (lambda_n / Lambda) max_pdf(rates without n, z).
 
     Lambda is the sum of the rates.  The terms are non-negative, so it is stable for any N;
-    O(N^2 x points) time and O(N x points) memory.  Exact integrals come from max_mixture of
-    each leave-one-out set with the same weights.
+    O(N^2 x points) time and, through max_pdf's blocks, O(N x GRID_BLOCK + points) memory.
+    Exact integrals come from max_mixture of each leave-one-out set with the same weights.
     """
     return _range_law(max_pdf, rates, z)
 

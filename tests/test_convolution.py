@@ -34,7 +34,7 @@ from expstat import (
     mixture_quantile,
     sum_pdf_quadrature,
 )
-from expstat import convolution, core
+from expstat import SignedExponentialMixture, convolution, core
 from expstat.convolution import conv_pdf_phase_type, sum_route
 from expstat.core import CDF_CLAMP_WINDOW, mixture_eval_grid
 from expstat.orderstats import max_mixture
@@ -1123,3 +1123,103 @@ def test_routed_sum_holds_many_log_spaced_rates_to_the_reference(n):
     rates, points, cdf, pdf = _log_spaced_reference(n)
     assert _worst_relative(conv_pdf(rates, points), pdf) <= 5e-12
     assert _worst_relative(conv_cdf(rates, points), cdf) <= 5e-12
+
+
+# ---------------------------------------------------------------------------
+# the closed-form sum path: the distinct-rate form built in rate order, points checked once
+
+
+def _shuffled(n, seed):
+    rates = np.exp(np.random.default_rng(seed).uniform(math.log(0.1), math.log(10.0), n))
+    return tuple(float(r) for r in rates)
+
+
+_DISTINCT_FORMS = {
+    **{f"shuffled N={n}": _shuffled(n, 300 + n) for n in range(1, 13)},
+    **{f"log-spaced N={n}": tuple(float(x) for x in np.geomspace(0.1, 10.0, n)) for n in (8, 12)},
+    "1e300, 1": (1e300, 1.0),
+    "1e-200, 2e-200, 1": (1e-200, 2e-200, 1.0),
+    "a zero term, 1e-200, 1e200": (1e-200, 1e200),
+}
+
+
+@pytest.mark.parametrize("name", _DISTINCT_FORMS)
+def test_distinct_form_is_the_generic_constructor_fed_unsorted_terms_bit_for_bit(name):
+    rates = _DISTINCT_FORMS[name]
+    coeffs = conv_coefficients(rates)
+    # fastest rate first, so the constructor sorts and merges them
+    terms = sorted(((a * r, r, 0) for a, r in zip(coeffs.coefficients, coeffs.rates)), key=lambda t: -t[1])
+    generic = SignedExponentialMixture.from_terms(terms, is_density=True)
+    mixture = conv_mixture(rates)
+    assert mixture == generic
+    for field in ("coefficients", "rates", "degrees"):
+        got, expected = getattr(mixture, field), getattr(generic, field)
+        assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes(), (name, field)
+    route, form = sum_route(rates)
+    assert route == "phase-type" or form == mixture
+
+
+@pytest.mark.parametrize("rates", [(1.0, 1.0, 2.0), (2.0, 2.0, 2.0), (0.5, 0.6, 3.0) * 4, (1.0, 1.0, 2.0, 3.0, 3.0)])
+def test_erlang_block_mixtures_keep_their_bits(rates):
+    # _confluent_terms lists each cluster's degrees in increasing order, so they pass canonical
+    terms = convolution._confluent_terms(RateVector(rates).cluster_rates, RateVector(rates).cluster_sizes)
+    mixture = conv_mixture(rates)
+    generic = SignedExponentialMixture.from_terms(terms[::-1], is_density=True)
+    assert mixture.terms == generic.terms and mixture.coefficients.tobytes() == generic.coefficients.tobytes()
+    assert mixture.terms == tuple(terms)
+
+
+@pytest.mark.parametrize("rates", [(0.3, 0.7, 1.9, 2.5, 6.0), (3.0, 0.2, 1.1), (3.0,), (2.0, 2.0, 2.0)])
+def test_sum_curves_have_the_bits_of_the_mixture_kernels(rates):
+    route, form = sum_route(rates)
+    assert route == "closed-form"
+    zz = np.linspace(0.0, 12.0, 4001)
+    assert conv_pdf(rates, zz).tobytes() == mixture_eval(form, zz).tobytes()
+    assert conv_cdf(rates, zz).tobytes() == mixture_cdf(form, zz).tobytes()
+    for z in (0.0, 0.7, 3.0, 1e300):
+        for law, kernel in ((conv_pdf, mixture_eval), (conv_cdf, mixture_cdf)):
+            got, expected = law(rates, z), kernel(form, z)
+            assert type(got) is float and got == expected and math.copysign(1.0, got) == math.copysign(1.0, expected)
+
+
+_BAD_POINTS = {
+    "negative": (-1.0, "points must be finite and non-negative, got -1.0"),
+    "nan": (float("nan"), "points must be finite and non-negative, got nan"),
+    "inf in a list": ([0.5, float("inf")], "points must be finite and non-negative, got inf"),
+    "negative in an array": (np.array([1.0, -2.0]), "points must be finite and non-negative, got -2.0"),
+    "nan before a negative": (np.array([np.nan, -2.0]), "points must be finite and non-negative, got nan"),
+    "string": ("0.5", "points must be real numbers, got '0.5'"),
+    "string list": (["0.5"], "points must be real numbers, got ['0.5']"),
+    "complex": (1j, "points must be real numbers, got 1j"),
+    "2-d": (np.ones((2, 2)), "points must be a scalar or a 1-d array, got shape (2, 2)"),
+    "huge int": (10**400, "points must be finite and non-negative, got an int of 1329 bits"),
+}
+_BAD_RATES = {
+    "negative": ((1.0, -2.0), "rates must be finite and positive, got -2.0"),
+    "empty": ((), "rate vector must be non-empty"),
+    "string": (("abc",), "rates must be finite and positive, got 'abc'"),
+    "none": ((None, 1.0), "rates must be finite and positive, got None"),
+    "scalar": (3.0, "rates must be a sequence of numbers, got 3.0"),
+}
+
+
+@pytest.mark.parametrize("name", _BAD_POINTS)
+def test_sum_laws_and_grid_kernels_report_a_bad_point_as_before(name):
+    z, message = _BAD_POINTS[name]
+    calls = [(law, rates) for law in (conv_pdf, conv_cdf) for rates in ((1.0, 2.0, 3.0), (1.0, 1.0, 2.0), (1.0, 1.0005, 2.0))]
+    calls += [(law, rates) for law in (conv_pdf, conv_cdf) for rates, _ in _BAD_RATES.values()]  # the point comes first
+    calls += [(kernel, conv_mixture((1.0, 2.0))) for kernel in (core.mixture_eval_grid, core.mixture_cdf_grid)]
+    for fn, first in calls:
+        with pytest.raises(DomainError) as info:
+            fn(first, z)
+        assert str(info.value) == message, (fn.__name__, first)
+
+
+@pytest.mark.parametrize("name", _BAD_RATES)
+def test_sum_laws_report_bad_rates_as_before(name):
+    rates, message = _BAD_RATES[name]
+    for law in (conv_pdf, conv_cdf):
+        for z in (1.0, np.linspace(0.0, 1.0, 5)):
+            with pytest.raises(DomainError) as info:
+                law(rates, z)
+            assert str(info.value) == message

@@ -223,6 +223,45 @@ def test_mixture_merges_exact_ties_only():
     )
 
 
+def test_canonical_terms_pass_as_copies_and_the_rest_are_sorted_and_merged():
+    c, r, d = np.array([2.0, -1.0, 0.5]), np.array([1.0, 1.0, 3.0]), np.array([0, 1, 0])
+    mix = SignedExponentialMixture(c, r, d)
+    assert mix.terms == ((2.0, 1.0, 0), (-1.0, 1.0, 1), (0.5, 3.0, 0))
+    for given, stored in ((c, mix.coefficients), (r, mix.rates), (d, mix.degrees)):
+        assert given.flags.writeable and not stored.flags.writeable and not np.shares_memory(given, stored)
+    # a tie in (rate, degree), a zero coefficient, a step down in degree or in rate is not canonical
+    for terms, expected in (
+        ([(1.0, 1.0, 0), (2.0, 1.0, 0)], ((3.0, 1.0, 0),)),
+        ([(1.0, 1.0, 0), (0.0, 2.0, 0)], ((1.0, 1.0, 0),)),
+        ([(1.0, 1.0, 0), (-0.0, 2.0, 0)], ((1.0, 1.0, 0),)),
+        ([(1.0, 1.0, 1), (2.0, 1.0, 0)], ((2.0, 1.0, 0), (1.0, 1.0, 1))),
+        ([(1.0, 2.0, 0), (2.0, 1.0, 3)], ((2.0, 1.0, 3), (1.0, 2.0, 0))),
+    ):
+        assert SignedExponentialMixture.from_terms(terms).terms == expected
+    assert SignedExponentialMixture.from_terms([]).n_terms == 0
+
+
+@pytest.mark.parametrize(
+    "c, r, d, message",
+    [
+        ([1.0, 2.0], [1.0], [0], "coefficients, rates and degrees must be 1-d and equal length"),
+        ([[1.0]], [[1.0]], [[0]], "coefficients, rates and degrees must be 1-d and equal length"),
+        ([math.nan], [1.0], [0], "mixture coefficients must be finite"),
+        ([math.inf], [-1.0], [-1], "mixture coefficients must be finite"),
+        ([1.0, 1.0], [2.0, math.nan], [0, 0], "mixture rates must be finite and positive"),
+        ([1.0, 1.0], [math.nan, 2.0], [0, 0], "mixture rates must be finite and positive"),
+        ([1.0], [math.inf], [0], "mixture rates must be finite and positive"),
+        ([1.0], [0.0], [0], "mixture rates must be finite and positive"),
+        ([1.0], [-1.0], [-1], "mixture rates must be finite and positive"),
+        ([1.0, 1.0], [1.0, 2.0], [0, -1], "mixture degrees must be non-negative"),
+    ],
+)
+def test_mixture_constructor_reports_the_first_bad_field(c, r, d, message):
+    with pytest.raises(DomainError) as info:
+        SignedExponentialMixture(np.array(c), np.array(r), np.array(d))
+    assert str(info.value) == message
+
+
 # ---------------------------------------------------------------------------
 # evaluation, integration, moments
 

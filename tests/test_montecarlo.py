@@ -204,6 +204,8 @@ def test_sampler_memory_is_one_block_plus_the_result():
     # the (count, N) matrix is never held whole: 6.4 MB at 1e5 x 8, 3.2 MB at 2e5 x 2
     rates = (0.3, 0.7, 1.0, 1.9, 2.5, 4.4, 8.0, 9.5)
     block = montecarlo.SAMPLE_BLOCK * 8 * 8
+    # a first draw imports numpy.random's lazy modules (about 690 KB), which are not the sampler's
+    sample_sum(rates, 10, 112)
     for sample in (sample_sum, sample_min, sample_max, lambda *a: sample_order(a[0], 4, *a[1:])):
         tracemalloc.start()
         try:

@@ -495,20 +495,17 @@ def mixture_cdf_grid(m: SignedExponentialMixture, z: np.ndarray) -> np.ndarray:
 
 def _cdf_grid(m: SignedExponentialMixture, zz: np.ndarray) -> np.ndarray:
     """mixture_cdf_grid of a density mixture on points already checked, as a 1-d array (conv_cdf's entry)."""
-    c, lam = m.coefficients[:, None], m.rates[:, None]
-    a = -(c / lam)
+    lam = m.rates[:, None]
     erlang = bool(m.degrees.any())
-    if erlang:
+    if erlang:  # gammainc(1, x) is -expm1(-x): a degree-0 row has the bits of -(c / lam) expm1(-lam z)
         k = m.degrees[:, None]
-        flat = k == 0
         b = _gamma_weights(m.coefficients, m.degrees, m.rates)[:, None]
+    else:
+        a = -(m.coefficients[:, None] / lam)
     vals = np.empty_like(zz)
     for block in _grid_blocks(zz.size):
         x = -lam * zz[None, block]  # -(lam z): the negation is exact
-        if erlang:
-            contrib = np.where(flat, np.expm1(x) * a, b * gammainc(k + 1, -x))
-        else:
-            contrib = np.multiply(np.expm1(x, out=x), a, out=x)
+        contrib = b * gammainc(k + 1, -x) if erlang else np.multiply(np.expm1(x, out=x), a, out=x)
         np.add.reduce(contrib, axis=0, out=vals[block])
     if vals.size and (vals.min() < -CDF_CLAMP_WINDOW or vals.max() > 1.0 + CDF_CLAMP_WINDOW):
         excess = np.maximum(-vals, vals - 1.0)

@@ -1,16 +1,14 @@
 """Order statistics of independent heterogeneous exponentials.
 
-The minimum is exponential with the summed rate.  The maximum has the
-product cdf prod_n (1 - exp(-lambda_n z)); conditioning on which variable is
-largest gives its density as the derivative of that product,
-sum_n lambda_n exp(-lambda_n z) prod_{m != n} (1 - exp(-lambda_m z)), a sum
-of non-negative terms that is stable for any N.  The same density expanded
-by inclusion-exclusion is a signed mixture with one term per non-empty
-subset S of the rates, coefficient (-1)^(|S|+1) (sum of S) and rate (sum of
-S); it is kept for exact integrals only.  The first variable to die is n
-with probability lambda_n / (sum of the rates); by memorylessness the range
-(max - min) is then the maximum of the others, independent of the minimum,
-so the maximum is the minimum plus an independent range for any N.
+The minimum is exponential with the summed rate Lambda.  The maximum has the
+product cdf P = prod_n (1 - exp(-lambda_n z)); conditioning on the last to
+die gives its density P' as the derivative of the product.  The first to die
+is n with probability lambda_n / Lambda, and by memorylessness the range
+(max - min) is independent of the minimum, so max = min + range for any N.
+One product-rule pass over the rates gives P' and the range's cdf and
+density, all from non-negative terms.  P' expanded by inclusion-exclusion is
+a signed mixture with one term per non-empty subset of the rates, kept for
+exact integrals only.
 
 The cdf of a general order statistic is a Poisson-binomial tail computed by
 dynamic programming over the events {X_n <= z}.
@@ -66,13 +64,14 @@ def min_law(rates: RatesLike) -> ExponentialLaw:
 
 
 def max_mixture(rates: RatesLike) -> SignedExponentialMixture:
-    """Inclusion-exclusion density of the maximum as a signed mixture.
+    """Inclusion-exclusion density of the maximum as a signed mixture, for exact integrals.
 
-    Subset sums are accumulated over the rates in ascending order, so the
-    mixture is independent of the input permutation; subsets with equal rate
-    sums merge into a single term.  Memory is about 100 bytes x 2^N at peak
-    (tracemalloc: 6.1 MiB at N = 16, 98 MiB in 0.4 s at N = 20), so it is
-    capacity-limited to SUBSET_LIMIT = 20 rates.
+    One term per non-empty subset S of the rates, coefficient (-1)^(|S|+1)
+    (sum of S) and rate (sum of S).  Subset sums are accumulated over the
+    rates in ascending order, so the mixture is independent of the input
+    permutation; subsets with equal rate sums merge into a single term.
+    Memory is about 100 bytes x 2^N at peak (tracemalloc: 6.1 MiB at N = 16,
+    98 MiB in 0.4 s at N = 20), so it is capacity-limited to SUBSET_LIMIT = 20 rates.
     """
     rv = as_rate_vector(rates)
     if rv.n > SUBSET_LIMIT:
@@ -80,47 +79,66 @@ def max_mixture(rates: RatesLike) -> SignedExponentialMixture:
             f"inclusion-exclusion over {rv.n} rates exceeds the {SUBSET_LIMIT}-rate "
             "limit; max_pdf, max_cdf and sampling remain available"
         )
-    sums = np.empty(0, dtype=np.float64)
-    signs = np.empty(0, dtype=np.float64)
+    sums = signs = np.empty(0, dtype=np.float64)
     for lam in sorted(rv.rates):
         sums = np.concatenate((sums, [lam], sums + lam))
         signs = np.concatenate((signs, [1.0], -signs))
-    return SignedExponentialMixture(
-        signs * sums, sums, np.zeros(sums.size, dtype=np.int64), is_density=True
-    )
+    return SignedExponentialMixture(signs * sums, sums, np.zeros(sums.size, dtype=np.int64), is_density=True)
+
+
+def _product_rule(rates: RatesLike, z, law: str) -> float | np.ndarray:
+    """max_pdf, range_pdf or range_cdf (``law``) at a scalar or an array z, from one pass over the rates.
+
+    With p_k = 1 - exp(-lambda_k z), u_k = lambda_k exp(-lambda_k z) and w_k = lambda_k / Lambda,
+    step k folds rate k into P = prod p (max_cdf), P' (max_pdf), S = sum_n w_n prod_{m != n} p_m
+    (range_cdf) and S' (range_pdf) by the product rule, from P = p_0, P' = u_0, S = w_0 and S' = 0:
+    every term is non-negative and nothing is divided.  Points are taken core.GRID_BLOCK at a
+    time, each block's arrays gone before the next block's are formed.
+    """
+    rv = as_rate_vector(rates)
+    if law != "max_pdf" and rv.n < 2:
+        raise DomainError(f"the range needs at least two rates, got {rv.n}")
+    zz = _check_points(z)
+    lam = np.asarray(rv.rates)[:, None]
+    # max_pdf takes no Lambda, which leaves the double range before the density does
+    weights = (lam[:, 0] / rv.total).tolist() if law != "max_pdf" else None
+    points = np.atleast_1d(zz)
+    values = np.empty_like(points)
+    for block in _grid_blocks(points.size):
+        values[block] = _product_rule_block(lam, weights, points[None, block], law)
+    return float(values[0]) if isinstance(zz, float) else values
+
+
+def _product_rule_block(lam: np.ndarray, weights: list[float] | None, z: np.ndarray, law: str) -> np.ndarray:
+    """One block of _product_rule: two (N, block) arrays p and u and, for the range (weights w), three rows."""
+    u = -lam * z  # -(lambda z), for both exponentials: the negation is exact
+    p = np.expm1(u)
+    np.negative(p, out=p)
+    np.multiply(np.exp(u, out=u), lam, out=u)
+    cdf, pdf = p[0], u[0]  # rows 0 are read only here, so they carry P and P' in place
+    s, ds = (np.full(z.shape[1], weights[0]), np.zeros(z.shape[1])) if weights else (None, None)
+    for k, (pk, uk) in enumerate(zip(p[1:], u[1:]), start=1):
+        if weights:  # the range, from the old P, P' and S
+            ds *= pk
+            ds += pdf * weights[k]
+            ds += s * uk
+            s *= pk
+            s += cdf * weights[k]
+        pdf *= pk
+        pdf += np.multiply(uk, cdf, out=uk)
+        cdf *= pk
+    return {"max_pdf": pdf, "range_pdf": ds, "range_cdf": s}[law]
 
 
 def max_pdf(rates: RatesLike, z: float | np.ndarray) -> float | np.ndarray:
     """Density of the maximum at a scalar or an array z, the derivative of the max_cdf product.
 
-    sum_n lambda_n exp(-lambda_n z) prod_{m != n} (1 - exp(-lambda_m z)), with
-    the products over the other rates taken from prefix and suffix products,
-    so nothing is divided by 1 - exp(-lambda z) and z = 0 gives exactly 0 for
-    N >= 2.  Points are taken core.GRID_BLOCK at a time (core._grid_blocks):
-    each row operation is elementwise and each column sums its rows in order,
-    so the values are those of one block bit for bit, and memory is
-    O(N x GRID_BLOCK + points).
+    sum_n lambda_n exp(-lambda_n z) prod_{m != n} (1 - exp(-lambda_m z)),
+    accumulated in rate order as P' <- P' p_k + P u_k (_product_rule): 0 at
+    z = 0 for N >= 2, the bits of one block, O(N x points) time and
+    O(N x GRID_BLOCK + points) memory.
     """
-    lam = np.asarray(as_rate_vector(rates).rates)[:, None]
-    zz = _check_points(z)
-    points = np.atleast_1d(zz)
-    values = np.empty_like(points)
-    n = lam.shape[0]
-    for block in _grid_blocks(points.size):
-        x = -lam * points[None, block]  # -(lambda z), for both exponentials: the negation is exact
-        p = np.expm1(x)
-        np.negative(p, out=p)  # 1 - exp(-lambda z)
-        terms = np.multiply(np.exp(x, out=x), lam, out=x)
-        # one row per rate, so each step multiplies whole rows of points
-        below = np.ones(x.shape[1])  # prod_{m < k} p_m
-        above = np.ones(x.shape[1])  # prod_{m > n - 1 - k} p_m
-        for k in range(1, n):
-            below *= p[k - 1]
-            terms[k] *= below
-            above *= p[n - k]
-            terms[n - 1 - k] *= above
-        np.add.reduce(terms, axis=0, out=values[block])
-    return float(values[0]) if isinstance(zz, float) else values
+    return _product_rule(rates, z, "max_pdf")
 
 
 def max_cdf(rates: RatesLike, z: float | np.ndarray) -> float | np.ndarray:
@@ -144,32 +162,18 @@ def max_cdf(rates: RatesLike, z: float | np.ndarray) -> float | np.ndarray:
     return values
 
 
-def _range_law(kernel, rates: RatesLike, z) -> float | np.ndarray:
-    """sum_n (lambda_n / Lambda) kernel(rates without n, z), accumulated into one array."""
-    rv = as_rate_vector(rates)
-    if rv.n < 2:
-        raise DomainError(f"the range needs at least two rates, got {rv.n}")
-    zz = _check_points(z)
-    lam, total = rv.rates, rv.total
-    values = np.zeros(np.shape(zz))
-    for n, rate in enumerate(lam):
-        values += rate / total * kernel(lam[:n] + lam[n + 1 :], zz)
-    return float(values) if isinstance(zz, float) else values
-
-
 def range_pdf(rates: RatesLike, z: float | np.ndarray) -> float | np.ndarray:
     """Density of max - min for N >= 2 rates, sum_n (lambda_n / Lambda) max_pdf(rates without n, z).
 
-    Lambda is the sum of the rates.  The terms are non-negative, so it is stable for any N;
-    O(N^2 x points) time and, through max_pdf's blocks, O(N x GRID_BLOCK + points) memory.
-    Exact integrals come from max_mixture of each leave-one-out set with the same weights.
+    Lambda is the sum of the rates.  It is S' of max_pdf's pass (_product_rule): stable for
+    any N, O(N x points) time, O(N x GRID_BLOCK + points) memory.
     """
-    return _range_law(max_pdf, rates, z)
+    return _product_rule(rates, z, "range_pdf")
 
 
 def range_cdf(rates: RatesLike, z: float | np.ndarray) -> float | np.ndarray:
-    """P(max - min <= z) = sum_n (lambda_n / Lambda) max_cdf(rates without n, z); see range_pdf."""
-    return _range_law(max_cdf, rates, z)
+    """P(max - min <= z) = sum_n (lambda_n / Lambda) max_cdf(rates without n, z), S of range_pdf's pass."""
+    return _product_rule(rates, z, "range_cdf")
 
 
 def _check_scalar_point(z) -> float:
@@ -229,8 +233,7 @@ def order_statistic_pdf(req: OrderStatisticRequest, z: float) -> float:
     if req.r == rv.n:
         return max_pdf(rv, z)
     h = DIFFERENCE_STEP if z >= DIFFERENCE_STEP else DIFFERENCE_STEP * z
-    lo = z - h
-    hi = z + h
+    lo, hi = z - h, z + h
     f_lo = order_statistic_cdf(req, lo)
     f_hi = order_statistic_cdf(req, hi)
     return max((f_hi - f_lo) / (hi - lo), 0.0) if hi > lo else 0.0

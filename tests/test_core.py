@@ -863,18 +863,16 @@ def _cdf_grid_reference(m, zz):
 
 
 def _max_pdf_reference(rates, zz):
-    """max_pdf with lam z negated once for expm1 and once for exp, out of place."""
+    """max_pdf by the product rule P' <- P' p_k + P u_k, with lam z negated once for expm1 and once for exp, out of place."""
     lam = np.asarray(rates)[:, None]
     x = lam * zz
     p = -np.expm1(-x)
-    terms = lam * np.exp(-x)
-    below, above, n = np.ones(zz.size), np.ones(zz.size), lam.shape[0]
-    for k in range(1, n):
-        below *= p[k - 1]
-        terms[k] *= below
-        above *= p[n - k]
-        terms[n - 1 - k] *= above
-    return terms.sum(axis=0)
+    u = lam * np.exp(-x)
+    cdf, pdf = p[0], u[0]
+    for k in range(1, lam.shape[0]):
+        pdf = pdf * p[k] + cdf * u[k]
+        cdf = cdf * p[k]
+    return pdf
 
 
 TRIMMED_KERNEL_SETS = {

@@ -36,6 +36,7 @@ from expstat.montecarlo import SampleBatch, make_stream
 from expstat.orderstats import max_mixture, min_law
 
 LN2 = math.log(2.0)
+EPS = np.finfo(np.float64).eps
 
 
 # ---------------------------------------------------------------------------
@@ -166,8 +167,8 @@ def test_max_pdf_beyond_the_subset_limit():
         assert max_pdf(rates, x) == pytest.approx(fd, rel=1e-6)
 
 
-@pytest.mark.parametrize("law, outputs", [(max_pdf, 1), (range_pdf, 3)])
-def test_max_and_range_pdf_hold_blocks_of_points_not_the_whole_grid(law, outputs):
+@pytest.mark.parametrize("law, rows", [(max_pdf, 0), (range_pdf, 3)])
+def test_max_and_range_pdf_hold_blocks_of_points_not_the_whole_grid(law, rows):
     # unblocked, max_pdf held two (N, points) arrays: 43 MB traced here, 27 times its output
     rates = tuple(float(x) for x in np.geomspace(0.1, 10.0, 12))
     z = np.linspace(0.0, 40.0, 200_000)
@@ -178,9 +179,10 @@ def test_max_and_range_pdf_hold_blocks_of_points_not_the_whole_grid(law, outputs
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # range_pdf also holds its sum and the weighted leave-one-out term; a block has up to
-    # 2 GRID_BLOCK points, and the next block's two arrays are formed before the last ones go
-    assert peak < outputs * z.nbytes + 8 * len(rates) * core.GRID_BLOCK * 8
+    # one output, the widest block's (N, block) arrays p and u, the law's own block rows (the
+    # range's S, S' and one product) and one row of slack (traced: 3.83 MB and 4.11 MB)
+    width = max(block.stop - block.start for block in core._grid_blocks(z.size))
+    assert peak < z.nbytes + (2 * len(rates) + rows + 1) * width * 8
 
 
 @pytest.mark.parametrize("law", [max_pdf, range_pdf])
@@ -277,19 +279,27 @@ def test_range2_monte_carlo_cross_check():
 
 
 def _mp_range(rates, z):
-    """(pdf, cdf) of the range at 50 digits: the leave-one-out maxima, each by the product rule."""
+    """(pdf, cdf) of the range at 50 digits in O(N) per point, from prefix and suffix products and sums.
+
+    With P the product of all p_k and r_k = u_k / p_k, the term left out at n weighs P / p_n, and
+    its density sums r_k over k != n; at 50 digits nothing underflows, and no sum is a difference.
+    """
     with mpmath.workdps(50):
         lam = [mpmath.mpf(x) for x in rates]
         total = mpmath.fsum(lam)
         z = mpmath.mpf(z)
         p = [-mpmath.expm1(-x * z) for x in lam]
-        pdf = cdf = mpmath.mpf(0)
-        for n, rate in enumerate(lam):
-            rest = [i for i in range(len(lam)) if i != n]
-            cdf += rate / total * mpmath.fprod(p[i] for i in rest)
-            for k in rest:
-                density = lam[k] * mpmath.exp(-lam[k] * z) * mpmath.fprod(p[i] for i in rest if i != k)
-                pdf += rate / total * density
+        r = [x * mpmath.exp(-x * z) / q for x, q in zip(lam, p)]
+        prod = mpmath.fprod(p)
+        below = [mpmath.mpf(0)]
+        for x in r[:-1]:
+            below.append(below[-1] + x)
+        above = [mpmath.mpf(0)]
+        for x in r[:0:-1]:
+            above.append(above[-1] + x)
+        above.reverse()
+        cdf = mpmath.fsum(x / total * prod / q for x, q in zip(lam, p))
+        pdf = mpmath.fsum(x / total * prod / q * (b + a) for x, q, b, a in zip(lam, p, below, above))
         return pdf, cdf
 
 
@@ -314,6 +324,53 @@ def test_range_matches_a_50_digit_reference():
             ref_pdf, ref_cdf = _mp_range(rates, point)
             assert float(abs(pdf / ref_pdf - 1)) <= 1e-13, (rates, point)
             assert float(abs(cdf / ref_cdf - 1)) <= 1e-13, (rates, point)
+
+
+def _range_mean(rates):
+    """E[max] - E[min], E[max] the integral of 1 - prod_n (1 - exp(-lambda_n z)) by the trapezoid rule: a scale."""
+    lam = np.asarray(rates)[:, None]
+    z = np.linspace(0.0, 60.0 / lam.min(), 4001)
+    return np.trapezoid(1.0 - np.prod(-np.expm1(-lam * z), axis=0), z) - 1.0 / lam.sum()
+
+
+@pytest.mark.parametrize("n", [100, 200])
+def test_range_of_many_rates_matches_a_50_digit_reference(n):
+    rates = tuple(float(x) for x in np.geomspace(0.1, 10.0, n))
+    z = np.array([0.01, 0.3, 1.0, 3.0, 10.0]) * _range_mean(rates)
+    for point, pdf, cdf in zip(z, range_pdf(rates, z), range_cdf(rates, z)):
+        ref_pdf, ref_cdf = _mp_range(rates, point)
+        assert float(abs(pdf / ref_pdf - 1)) <= 1e-13, (n, point)
+        assert float(abs(cdf / ref_cdf - 1)) <= 1e-13, (n, point)
+
+
+def test_range_cdf_is_max_cdf_plus_max_pdf_over_the_summed_rate():
+    # max = Exp(Lambda) + range gives F_max' = Lambda (F_range - F_max); every term is
+    # non-negative, so the two sides agree to a few roundings per rate (worst measured 0.94 N eps)
+    z = np.geomspace(1e-4, 1e3, 300)
+    for n in range(2, 201):
+        rates = tuple(float(x) for x in np.geomspace(0.1, 10.0, n))
+        total = math.fsum(rates)
+        merged = max_cdf(rates, z) + max_pdf(rates, z) / total
+        law = range_cdf(rates, z)
+        normal = law > 1e-290  # past it the products run through subnormals
+        assert np.all(np.abs(law - merged)[normal] <= 2 * n * EPS * law[normal]), n
+
+
+def test_range_pdf_of_rates_near_the_double_limit():
+    # the pass carries lambda_n / Lambda: with lambda_n its S' would reach 1e400 here
+    lam = 1e200
+    z = np.array([0.0, 1e-201, 1e-200, 5e-200, 3e-199])
+    e = np.exp(-lam * z)
+    for rates, pdf in (((lam, lam), lam * e), ((lam, lam, lam), 2 * lam * e * -np.expm1(-lam * z))):
+        got = range_pdf(rates, z)
+        assert np.all(np.isfinite(got)), rates
+        np.testing.assert_allclose(got, pdf, rtol=4 * EPS, atol=0.0)
+    # max_pdf takes no summed rate, so it stays finite where Lambda overflows and the range raises
+    big, z = (1e308, 1e308), np.array([1e-309, 1e-308])
+    expected = 1e308 * np.exp(-1e308 * z) * (2.0 * -np.expm1(-1e308 * z))
+    np.testing.assert_allclose(max_pdf(big, z), expected, rtol=4 * EPS, atol=0.0)
+    with pytest.raises(CapacityError):
+        range_pdf(big, z)
 
 
 def test_merge_identity_max_is_min_plus_range_for_two_to_seven_rates():
